@@ -122,6 +122,15 @@ def _grid(grid_n: int, search_range: tuple[float, float]) -> np.ndarray:
     return lo + (hi - lo) * np.arange(1, grid_n + 1) / grid_n
 
 
+def _argmin(grid: np.ndarray, objective: np.ndarray) -> int:
+    """Index of the smallest objective value, refusing a non-finite curve."""
+    bad = ~np.isfinite(objective)
+    if bad.any():
+        candidate = float(grid[int(np.argmax(bad))])
+        raise DegeneratePathError(f"objective is not finite at candidate {candidate:.17g}")
+    return int(np.argmin(objective))
+
+
 def _curve(grid: np.ndarray, objective: np.ndarray) -> tuple[tuple[float, float], ...]:
     return tuple((float(g), float(o)) for g, o in zip(grid, objective))
 
@@ -173,7 +182,7 @@ def gamma_ratio_estimate(
         num = float(np.sum(np.exp((2.0 * (g - h1)) * log_tail)))
         den = float(np.sum(np.exp((2.0 * (g - h2)) * log_tail)))
         objective[i] = abs(num / den - rhs)
-    best = int(np.argmin(objective))
+    best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_RATIO,
         gamma_hat=float(grid[best]),
@@ -211,11 +220,14 @@ def joint_estimate(
         v_bar = v.mean()
         objective[i] = float(np.sum((v / v_bar - 1.0) ** 2))
         v_bars[i] = v_bar
-    best = int(np.argmin(objective))
+    best = _argmin(grid, objective)
+    sigma_hat = math.sqrt(v_bars[best] / path.delta)
+    if not math.isfinite(sigma_hat):
+        raise DegeneratePathError(f"scale estimate is not finite at candidate {float(grid[best]):.17g}")
     return EstimateResult(
         method=METHOD_JOINT_VARIANCE,
         gamma_hat=float(grid[best]),
-        sigma_hat=math.sqrt(v_bars[best] / path.delta),
+        sigma_hat=sigma_hat,
         grid_n=grid_n,
         objective_min=float(objective[best]),
         objective_curve=_curve(grid, objective),
@@ -259,7 +271,7 @@ def gamma_known_sigma(
         dispersion = float(np.sum((v / v_bar - 1.0) ** 2))
         level = v.size * (v_bar / level_target - 1.0) ** 2
         objective[i] = dispersion + level
-    best = int(np.argmin(objective))
+    best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_KNOWN_SIGMA,
         gamma_hat=float(grid[best]),

@@ -12,6 +12,7 @@ to stress-test the estimators on paths far from any parametric family.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "ModelSpec",
     "cir_model",
     "ckls_model",
+    "drift_function",
     "eval_drift",
     "sample_delay_drift",
     "format_model_config",
@@ -121,6 +123,26 @@ def ckls_model(a: float, b: float, sigma: float, gamma: float) -> ModelSpec:
     return ModelSpec(drift=AffineDrift(a, b), sigma=sigma, gamma=gamma)
 
 
+def drift_function(spec: ModelSpec) -> Callable[[float, float], float]:
+    """Unchecked ``eval_drift`` as a closure over constants unpacked once."""
+    d = spec.drift
+    if isinstance(d, AffineDrift):
+        a, ab = d.a, d.a * d.b
+        return lambda x, x_lagged: ab - a * x
+    terms = tuple(zip(d.a, d.b, [nu + 0.5 for nu in d.nu], d.c, d.d, d.e,
+                      [0.1 * a for a in d.a_hat], d.b_hat, [nu + 0.5 for nu in d.nu_hat]))
+
+    def drift(x: float, x_lagged: float) -> float:
+        total = 0.0
+        for a, b, p, c, dk, e, a_lag, b_lag, p_lag in terms:
+            total += a * (b - x**p)
+            total += c * math.cos(dk * x + e)
+            total += a_lag * (b_lag - x_lagged**p_lag)
+        return total
+
+    return drift
+
+
 def eval_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
     """Drift value at state x; x_lagged feeds the delayed terms only.
 
@@ -129,15 +151,7 @@ def eval_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
     """
     if x <= 0.0 or x_lagged <= 0.0:
         raise ValueError("drift is defined for positive states only")
-    d = spec.drift
-    if isinstance(d, AffineDrift):
-        return d.a * d.b - d.a * x
-    total = 0.0
-    for k in range(d.n_terms):
-        total += d.a[k] * (d.b[k] - x ** (d.nu[k] + 0.5))
-        total += d.c[k] * math.cos(d.d[k] * x + d.e[k])
-        total += 0.1 * d.a_hat[k] * (d.b_hat[k] - x_lagged ** (d.nu_hat[k] + 0.5))
-    return total
+    return drift_function(spec)(x, x_lagged)
 
 
 def sample_delay_drift(rng: np.random.Generator) -> DelayDriftSpec:

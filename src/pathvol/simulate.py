@@ -10,7 +10,9 @@ whole-step lag l derived from the drift's delay.  Two guards keep the path
 usable by the estimators: any nonpositive produced value is replaced by the
 previous value (counted in ``positivity_fixes``), and the simulation stops
 early the first time the retained value falls to ``stop_ratio`` times the
-starting value.
+starting value.  The steps run on Python floats, with the drift compiled
+once per path by ``model.drift_function``; each step computes bit for bit
+what the recursion above gives with ``eval_drift``, from the same draws.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import IO
 
 import numpy as np
 
-from .model import DelayDriftSpec, ModelSpec, eval_drift
+from .model import DelayDriftSpec, ModelSpec, drift_function
 
 __all__ = [
     "DegeneratePathError",
@@ -142,42 +144,39 @@ def euler_maruyama(
 
     The generator consumes, in order: the starting value (only when
     cfg.y0 is None) and then n_steps standard normals, so results do not
-    depend on whether the path stops early.
+    depend on whether the path stops early.  The step arithmetic, on Python
+    floats, is that of calling ``eval_drift`` at every step.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    y0 = cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range)
-    n = cfg.n_steps
+    y0 = float(cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range))
     delta = cfg.delta
     sqrt_delta = math.sqrt(delta)
     lag = _delay_lag(model, cfg)
-    sigma = model.sigma
-    gamma = model.gamma
-    path_dependent = isinstance(model.drift, DelayDriftSpec)
+    sigma = float(model.sigma)
+    gamma = float(model.gamma)
     threshold = cfg.stop_ratio * y0
-    noise = rng.standard_normal(n)
+    drift = drift_function(model)
+    noise = rng.standard_normal(cfg.n_steps).tolist()
 
-    values = [float(y0)]
+    values = [y0]
     fixes = 0
-    stopped = False
-    for k in range(1, n + 1):
-        prev = values[-1]
-        x_lag = values[max(k - 1 - lag, 0)] if path_dependent else prev
-        drift = eval_drift(model, prev, x_lag)
-        nxt = prev + drift * delta + sigma * prev**gamma * sqrt_delta * noise[k - 1]
+    for k, xi in enumerate(noise):
+        prev = values[k]
+        x_lag = values[k - lag] if k >= lag else y0
+        nxt = prev + drift(prev, x_lag) * delta + sigma * prev**gamma * sqrt_delta * xi
         if nxt <= 0.0:
             nxt = prev
             fixes += 1
         values.append(nxt)
         if nxt <= threshold:
-            stopped = True
             break
     return SamplePath(
         theta=cfg.theta,
         delta=delta,
         values=np.array(values),
         m0=0,
-        stopped_early=stopped,
+        stopped_early=values[-1] <= threshold,
         positivity_fixes=fixes,
     )
 

@@ -176,6 +176,24 @@ class TestGammaKnownSigma:
             gamma_known_sigma(make_path([1.0, 2.0]), sigma=0.0)
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [joint_estimate, gamma_ratio_estimate, lambda path: gamma_known_sigma(path, sigma=1.0)],
+    ids=["joint", "gamma_ratio", "gamma_known_sigma"],
+)
+def test_nonfinite_objective_raises_instead_of_argmin(estimate):
+    # eta**2 and y**(2g) overflow on this path, so some objective values are nan
+    path = make_path([1e300, 2e300, 1e-300, 5.0])
+    with np.errstate(all="ignore"), pytest.raises(DegeneratePathError, match="objective is not finite"):
+        estimate(path)
+
+
+def test_joint_estimate_raises_on_nonfinite_scale():
+    # finite objective, but mean(v) / delta overflows on a subnormal step
+    with np.errstate(over="ignore"), pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
+        joint_estimate(make_path([1.0, 2.0, 1.0], delta=1e-310))
+
+
 class TestIntegratedSigmaSq:
     def test_matches_series_sum(self):
         path = simulated_path(n=500, seed=11)

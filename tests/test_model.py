@@ -14,6 +14,7 @@ from pathvol.model import (
     ModelSpec,
     cir_model,
     ckls_model,
+    drift_function,
     eval_drift,
     format_model_config,
     parse_model_config,
@@ -74,6 +75,39 @@ class TestEvalDrift:
         spec = cir_model(1.0, 1.0, 0.3)
         with pytest.raises(ValueError, match="positive"):
             eval_drift(spec, x, x_lag)
+
+
+def _delay_drifts():
+    coeffs = st.floats(0.0, 5.0)
+    return st.integers(1, 5).flatmap(
+        lambda n: st.builds(
+            DelayDriftSpec,
+            *[st.lists(coeffs, min_size=n, max_size=n) for _ in range(9)],
+            delay=st.floats(0.0, 0.2),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drift=st.one_of(_delay_drifts(), st.builds(AffineDrift, st.floats(0.0, 5.0), st.floats(0.0, 5.0))),
+    x=st.floats(1e-6, 1e3),
+    x_lag=st.floats(1e-6, 1e3),
+)
+def test_drift_function_is_eval_drift_bitwise(drift, x, x_lag):
+    spec = ModelSpec(drift=drift, sigma=0.3, gamma=0.5)
+    value = drift_function(spec)(x, x_lag)
+    assert value == eval_drift(spec, x, x_lag)
+    if isinstance(drift, AffineDrift):
+        expected = drift.a * drift.b - drift.a * x
+    else:
+        # the documented sum, term by term in the order it is written
+        expected = 0.0
+        for k in range(drift.n_terms):
+            expected += drift.a[k] * (drift.b[k] - x ** (drift.nu[k] + 0.5))
+            expected += drift.c[k] * math.cos(drift.d[k] * x + drift.e[k])
+            expected += 0.1 * drift.a_hat[k] * (drift.b_hat[k] - x_lag ** (drift.nu_hat[k] + 0.5))
+    assert value == expected
 
 
 class TestSpecValidation:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_path, random_positive_path
-from pathvol.model import DelayDriftSpec, ModelSpec, ckls_model, cir_model
+from pathvol.model import DelayDriftSpec, ModelSpec, ckls_model, cir_model, eval_drift, sample_delay_drift
 from pathvol.simulate import (
     CsvFormatError,
     DegeneratePathError,
@@ -214,6 +214,68 @@ def test_simulation_determinism_property(seed):
     model = ckls_model(1.0, 1.0, 0.3, 0.6)
     cfg = SimConfig(n_steps=50, seed=seed)
     assert np.array_equal(euler_maruyama(model, cfg).values, euler_maruyama(model, cfg).values)
+
+
+def reference_euler(model, cfg, rng):
+    """The step loop written plainly: eval_drift per step, np.float64 noise."""
+    y0 = cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range)
+    delay = getattr(model.drift, "delay", 0.0)
+    if cfg.delay_rule == "scaled":
+        lag = math.floor(delay / cfg.delta)
+    else:
+        lag = math.floor(delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1))
+    noise = rng.standard_normal(cfg.n_steps)
+    values, fixes, stopped = [float(y0)], 0, False
+    for k in range(1, cfg.n_steps + 1):
+        prev = values[-1]
+        drift = eval_drift(model, prev, values[max(k - 1 - lag, 0)])
+        nxt = prev + drift * cfg.delta + model.sigma * prev**model.gamma * math.sqrt(cfg.delta) * noise[k - 1]
+        if nxt <= 0.0:
+            nxt = prev
+            fixes += 1
+        values.append(nxt)
+        if nxt <= cfg.stop_ratio * y0:
+            stopped = True
+            break
+    return np.array(values), stopped, fixes
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for gamma in (0.0, 0.4, 0.5, 1.0):
+        for sigma in (0.3, 3.0):
+            a, b = rng.uniform(0.0, 3.0, size=2)
+            cases.append((ckls_model(a, b, sigma, gamma), "scaled"))
+            for rule in ("scaled", "literal"):
+                cases.append((ModelSpec(drift=sample_delay_drift(rng), sigma=sigma, gamma=gamma), rule))
+    return cases
+
+
+def _assert_matches_reference(model, cfg):
+    path = euler_maruyama(model, cfg)
+    values, stopped, fixes = reference_euler(model, cfg, np.random.default_rng(cfg.seed))
+    assert np.array_equal(path.values, values)
+    assert (path.stopped_early, path.positivity_fixes) == (stopped, fixes)
+    return path
+
+
+@pytest.mark.parametrize("n_steps", [52, 2000])
+def test_simulator_matches_reference_recursion_bitwise(n_steps):
+    for i, (model, rule) in enumerate(_bitwise_cases()):
+        for seed in range(3):
+            _assert_matches_reference(model, SimConfig(n_steps=n_steps, delay_rule=rule, seed=100 * i + seed))
+
+
+def test_guarded_steps_match_reference_recursion_bitwise():
+    drift = sample_delay_drift(np.random.default_rng(7))
+    # a 5-term delay drift under sqrt noise that first needs fixes, then stops
+    guarded = _assert_matches_reference(
+        ModelSpec(drift=drift, sigma=3.0, gamma=0.5), SimConfig(n_steps=2000, y0=1.0, seed=0)
+    )
+    assert drift.n_terms == 5 and guarded.stopped_early and guarded.positivity_fixes > 0
+    fixed = _assert_matches_reference(ckls_model(0.5, 1.0, 50.0, 0.5), SimConfig(n_steps=300, y0=1.0, seed=9))
+    assert fixed.positivity_fixes > 0
 
 
 class TestCsv:
