@@ -26,13 +26,16 @@ Grid searches scan h in {1/grid_n, 2/grid_n, ..., 1} by default; ties
 resolve to the smallest candidate.  A ``search_range`` (lo, hi) narrows the
 scan to {lo + (hi-lo)*k/grid_n}, e.g. (0.5, 1.0) restricts the power index
 to the positivity-preserving half of the unit interval, the range on which
-square-root (0.5) through linear (1.0) diffusion scalings live.  A separate
-helper backs the CIR parameters (a, b) out of a first and second moment of
-y(T).
+square-root (0.5) through linear (1.0) diffusion scalings live.  Each
+search evaluates its candidates together in (candidates x N) blocks, and its
+objective curve is bit for bit that of the per-candidate formulas above.
+A separate helper backs the CIR parameters (a, b) out of a first and second
+moment of y(T).
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,9 @@ METHOD_JOINT_VARIANCE = "joint-variance"
 METHOD_GAMMA_KNOWN_SIGMA = "gamma-known-sigma"
 METHOD_INTEGRATED_SIGMA_SQ = "integrated-sigma-sq"
 METHOD_CIR_BACKOUT = "cir-backout"
+
+# elements per (candidates x N) block: keeps the temporaries in cache up to N = 20 000
+_BLOCK = 1 << 14
 
 
 class NoSolutionError(RuntimeError):
@@ -132,7 +138,38 @@ def _argmin(grid: np.ndarray, objective: np.ndarray) -> int:
 
 
 def _curve(grid: np.ndarray, objective: np.ndarray) -> tuple[tuple[float, float], ...]:
-    return tuple((float(g), float(o)) for g, o in zip(grid, objective))
+    return tuple(zip(grid.tolist(), objective.tolist()))
+
+
+def _row_blocks(grid: np.ndarray, n: int) -> Iterator[slice]:
+    """Consecutive slices of the grid, each of about _BLOCK // n candidates (at least one)."""
+    step = max(1, _BLOCK // n)
+    for start in range(0, grid.size, step):
+        yield slice(start, min(start + step, grid.size))
+
+
+def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate h: v_bar[h] = mean(v[h]) and spread[h] = sum_k (v[h, k] / v_bar[h] - 1)**2."""
+    y = path.values
+    dy = np.diff(y)
+    if not np.any(dy != 0.0):
+        raise DegeneratePathError("constant path: no increments to fit")
+    prev = y[:-1]
+    v_bars = np.empty(grid.size)
+    spreads = np.empty(grid.size)
+    for rows in _row_blocks(grid, dy.size):
+        v = np.empty((rows.stop - rows.start, dy.size))
+        # one scalar power per row keeps numpy's ** shortcuts (sqrt at h = 0.5)
+        for row, h in zip(v, grid[rows].tolist()):
+            np.divide(dy, prev**h, out=row)
+        v *= v
+        np.log1p(v, out=v)
+        v_bars[rows] = v_bar = v.mean(axis=1)
+        v /= v_bar[:, None]
+        v -= 1.0
+        v *= v
+        v.sum(axis=1, out=spreads[rows])
+    return v_bars, spreads
 
 
 def sigma_known_gamma(path: SamplePath, gamma: float, h: float) -> EstimateResult:
@@ -177,11 +214,14 @@ def gamma_ratio_estimate(
         raise DegeneratePathError("constant path: increment sums vanish")
     rhs = s1 / s2
     log_tail = np.log(path.values[1:])
-    objective = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        num = float(np.sum(np.exp((2.0 * (g - h1)) * log_tail)))
-        den = float(np.sum(np.exp((2.0 * (g - h2)) * log_tail)))
-        objective[i] = abs(num / den - rhs)
+    sums = np.empty((2, grid.size))
+    for row_sums, h in zip(sums, (h1, h2)):
+        scale = 2.0 * (grid - h)
+        for rows in _row_blocks(grid, log_tail.size):
+            block = np.multiply(scale[rows, None], log_tail)
+            np.exp(block, out=block)
+            block.sum(axis=1, out=row_sums[rows])
+    objective = np.abs(sums[0] / sums[1] - rhs)
     best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_RATIO,
@@ -207,19 +247,7 @@ def joint_estimate(
     sqrt(mean(v[gamma]) / delta).
     """
     grid = _grid(grid_n, search_range)
-    y = path.values
-    dy = np.diff(y)
-    if not np.any(dy != 0.0):
-        raise DegeneratePathError("constant path: no increments to fit")
-    prev = y[:-1]
-    objective = np.empty(grid.size)
-    v_bars = np.empty(grid.size)
-    for i, h in enumerate(grid):
-        eta = dy / prev**h
-        v = np.log1p(eta * eta)
-        v_bar = v.mean()
-        objective[i] = float(np.sum((v / v_bar - 1.0) ** 2))
-        v_bars[i] = v_bar
+    v_bars, objective = _spread(path, grid)
     best = _argmin(grid, objective)
     sigma_hat = math.sqrt(v_bars[best] / path.delta)
     if not math.isfinite(sigma_hat):
@@ -257,20 +285,12 @@ def gamma_known_sigma(
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be > 0")
     grid = _grid(grid_n, search_range)
-    y = path.values
-    dy = np.diff(y)
-    if not np.any(dy != 0.0):
-        raise DegeneratePathError("constant path: no increments to fit")
-    prev = y[:-1]
+    v_bars, spreads = _spread(path, grid)
     level_target = path.delta * sigma * sigma
-    objective = np.empty(grid.size)
-    for i, h in enumerate(grid):
-        eta = dy / prev**h
-        v = np.log1p(eta * eta)
-        v_bar = float(v.mean())
-        dispersion = float(np.sum((v / v_bar - 1.0) ** 2))
-        level = v.size * (v_bar / level_target - 1.0) ** 2
-        objective[i] = dispersion + level
+    m = path.values.size - 1
+    # the level term on Python floats: numpy's square is not bitwise CPython's ** 2
+    pairs = zip(v_bars.tolist(), spreads.tolist())
+    objective = np.array([s + m * (v / level_target - 1.0) ** 2 for v, s in pairs])
     best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_KNOWN_SIGMA,

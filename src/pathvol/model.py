@@ -163,7 +163,7 @@ def sample_delay_drift(rng: np.random.Generator) -> DelayDriftSpec:
     """
     n = int(rng.integers(1, 6))
     delay = float(rng.uniform(0.0, 0.2))
-    draws = [tuple(float(v) for v in rng.uniform(0.0, 1.0, size=n)) for _ in _VECTOR_FIELDS]
+    draws = rng.uniform(0.0, 1.0, size=(len(_VECTOR_FIELDS), n)).tolist()
     return DelayDriftSpec(*draws, delay=delay)
 
 

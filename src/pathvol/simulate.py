@@ -187,11 +187,8 @@ def euler_maruyama(
 
 
 def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
-    lines = ["t,y"]
-    times = path.times
-    for t, y in zip(times, path.values):
-        lines.append(f"{t:.17g},{y:.17g}")
-    text = "\n".join(lines) + "\n"
+    rows = map("{:.17g},{:.17g}\n".format, path.times.tolist(), path.values.tolist())
+    text = "t,y\n" + "".join(rows)
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_path
+from conftest import make_path, random_positive_path
 from pathvol.estimators import (
+    _BLOCK,
     EstimateResult,
     NoSolutionError,
     cir_backout,
@@ -192,6 +193,86 @@ def test_joint_estimate_raises_on_nonfinite_scale():
     # finite objective, but mean(v) / delta overflows on a subnormal step
     with np.errstate(over="ignore"), pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
         joint_estimate(make_path([1.0, 2.0, 1.0], delta=1e-310))
+
+
+# The grid searches written plainly, one candidate h per loop iteration; the
+# block evaluation in pathvol.estimators must reproduce them bit for bit.
+
+
+def reference_grid(grid_n, search_range):
+    lo, hi = search_range
+    return lo + (hi - lo) * np.arange(1, grid_n + 1) / grid_n
+
+
+def reference_ratio_objective(path, grid, h1=0.0, h2=1.0):
+    rhs = float(np.sum(compute_aux(path, h1).v)) / float(np.sum(compute_aux(path, h2).v))
+    log_tail = np.log(path.values[1:])
+    objective = np.empty(grid.size)
+    for i, g in enumerate(grid):
+        num = float(np.sum(np.exp((2.0 * (g - h1)) * log_tail)))
+        den = float(np.sum(np.exp((2.0 * (g - h2)) * log_tail)))
+        objective[i] = abs(num / den - rhs)
+    return objective
+
+
+def reference_spread_objectives(path, grid, sigma):
+    """(v_bars, joint_estimate objective, gamma_known_sigma objective)."""
+    dy, prev = np.diff(path.values), path.values[:-1]
+    level_target = path.delta * sigma * sigma
+    v_bars, joint, known = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size)
+    for i, h in enumerate(grid):
+        eta = dy / prev**h
+        v = np.log1p(eta * eta)
+        v_bars[i] = v.mean()
+        joint[i] = float(np.sum((v / v_bars[i] - 1.0) ** 2))
+        known[i] = joint[i] + v.size * (float(v_bars[i]) / level_target - 1.0) ** 2
+    return v_bars, joint, known
+
+
+def reference_summary(grid, objective, sigma_hat=None):
+    best = int(np.argmin(objective))
+    curve = tuple((float(g), float(o)) for g, o in zip(grid, objective))
+    return float(grid[best]), sigma_hat, float(objective[best]), curve
+
+
+def summary(result):
+    return result.gamma_hat, result.sigma_hat, result.objective_min, result.objective_curve
+
+
+@pytest.mark.parametrize("search_range", [(0.0, 1.0), (0.5, 1.0)], ids=["default", "upper-half"])
+@pytest.mark.parametrize(
+    "n_increments",
+    [1, 250, 1001, _BLOCK + 3617],
+    ids=["N=2", "N=250", "ragged-blocks", "one-row-blocks"],
+)
+def test_grid_searches_match_per_candidate_loops_bitwise(n_increments, search_range):
+    if n_increments == 1001:  # the last block of both searches is short
+        rows = _BLOCK // n_increments
+        assert 300 % rows != 0 and 30 % rows != 0
+    paths = [random_positive_path(np.random.default_rng(seed), n_increments + 1) for seed in range(3)]
+    if n_increments > 1:
+        paths.append(simulated_path(n=n_increments, seed=21, gamma=0.5, sigma=0.8))
+    ratio_grid, spread_grid = reference_grid(300, search_range), reference_grid(30, search_range)
+    for path in paths:
+        expected = reference_summary(ratio_grid, reference_ratio_objective(path, ratio_grid))
+        assert summary(gamma_ratio_estimate(path, search_range=search_range)) == expected
+        v_bars, joint, known = reference_spread_objectives(path, spread_grid, sigma=0.7)
+        best = int(np.argmin(joint))
+        expected = reference_summary(spread_grid, joint, math.sqrt(v_bars[best] / path.delta))
+        assert summary(joint_estimate(path, search_range=search_range)) == expected
+        expected = reference_summary(spread_grid, known)
+        assert summary(gamma_known_sigma(path, sigma=0.7, search_range=search_range)) == expected
+
+
+def test_known_sigma_level_term_matches_python_floats_bitwise():
+    # numpy's square and CPython's float ** 2 disagree in the last bit on a
+    # fraction of a percent of inputs, so this takes many short paths
+    grid = reference_grid(30, (0.0, 1.0))
+    for seed in range(200):
+        path = random_positive_path(np.random.default_rng(seed), 53)
+        for sigma in (0.3, 0.7, 2.0):
+            _, _, known = reference_spread_objectives(path, grid, sigma)
+            assert summary(gamma_known_sigma(path, sigma=sigma)) == reference_summary(grid, known)
 
 
 class TestIntegratedSigmaSq:

@@ -150,6 +150,14 @@ class TestSpecValidation:
         assert cir_model(1.0, 1.0, 0.3).gamma == 0.5
 
 
+def reference_sample_delay_drift(rng):
+    """The drift sampler with one draw call per coefficient vector."""
+    n = int(rng.integers(1, 6))
+    delay = float(rng.uniform(0.0, 0.2))
+    draws = [tuple(float(v) for v in rng.uniform(0.0, 1.0, size=n)) for _ in range(9)]
+    return DelayDriftSpec(*draws, delay=delay)
+
+
 class TestSampler:
     def test_sampled_coefficient_ranges(self):
         rng = np.random.default_rng(0)
@@ -176,6 +184,15 @@ class TestSampler:
         a = sample_delay_drift(np.random.default_rng(7))
         b = sample_delay_drift(np.random.default_rng(7))
         assert a == b
+
+    def test_matches_one_draw_call_per_vector(self):
+        for seed in range(6):
+            # the per-trial stream layout of the Monte-Carlo driver: (master_seed, row, trial)
+            ss = np.random.SeedSequence((seed, 2, 7))
+            rng, ref = np.random.default_rng(ss), np.random.default_rng(ss)
+            for _ in range(40):
+                assert sample_delay_drift(rng) == reference_sample_delay_drift(ref)
+            assert rng.random() == ref.random()
 
 
 class TestConfigRoundTrip:

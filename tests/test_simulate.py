@@ -296,6 +296,17 @@ class TestCsv:
         back = read_path_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.values, path.values)
 
+    @pytest.mark.parametrize(
+        "path",
+        [random_positive_path(np.random.default_rng(23), 3000, delta=1 / 52), make_path([1e-8, 2.5e-8, 1e8, 3.0], delta=0.5)],
+        ids=["random", "extreme"],
+    )
+    def test_text_is_per_row_formatting_of_numpy_scalars(self, path):
+        buf = io.StringIO()
+        write_path_csv(path, buf)
+        rows = [f"{t:.17g},{y:.17g}" for t, y in zip(path.times, path.values)]
+        assert buf.getvalue() == "\n".join(["t,y", *rows]) + "\n"
+
     def test_header_written(self):
         buf = io.StringIO()
         write_path_csv(make_path([1.0, 2.0]), buf)
