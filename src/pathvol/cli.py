@@ -8,25 +8,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from .estimators import (
-    EstimateResult,
     METHOD_INTEGRATED_SIGMA_SQ,
+    METHOD_JOINT_VARIANCE,
+    METHODS,
+    EstimateResult,
     NoSolutionError,
-    gamma_known_sigma,
-    gamma_ratio_estimate,
-    integrated_sigma_sq,
-    joint_estimate,
-    sigma_known_gamma,
+    check_params,
+    estimate,
 )
-from .experiment import TABLE_IDS, reproduce_table
+from .experiment import TABLE_IDS, TABLE_STEPS, reproduce_table
 from .model import AffineDrift, ModelSpec, ckls_model, parse_model_config, sample_delay_drift
 from .simulate import (
     CsvFormatError,
-    DegeneratePathError,
     SimConfig,
     euler_maruyama,
     read_path_csv,
@@ -34,7 +33,8 @@ from .simulate import (
 )
 
 _MODEL_CHOICES = ("cir", "ckls", "random-delay")
-_METHOD_CHOICES = ("sigma-known-gamma", "gamma-ratio", "joint", "gamma-known-sigma", "integrated")
+# short command-line names for two registry methods
+_METHOD_ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA_SQ}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,21 +63,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run one estimator on a path CSV")
     est.add_argument("--in", dest="infile", type=Path, required=True, help="input CSV (header t,y)")
-    est.add_argument("--method", choices=_METHOD_CHOICES, required=True)
+    est.add_argument("--method", choices=(*METHODS, *_METHOD_ALIASES), required=True)
     est.add_argument("--gamma", type=float, help="known gamma (sigma-known-gamma, integrated)")
     est.add_argument("--h", type=float, help="increment exponent; defaults to --gamma")
-    est.add_argument("--h1", type=float, default=0.0, help="first exponent (gamma-ratio)")
-    est.add_argument("--h2", type=float, default=1.0, help="second exponent (gamma-ratio)")
+    est.add_argument("--h1", type=float, help="first exponent (gamma-ratio, default 0)")
+    est.add_argument("--h2", type=float, help="second exponent (gamma-ratio, default 1)")
     est.add_argument("--grid-n", type=int, help="search grid size (default 300 ratio, 30 others)")
     est.add_argument("--sigma", type=float, help="known sigma (gamma-known-sigma)")
     est.add_argument("--curve", type=Path, help="write the objective curve CSV here")
     est.set_defaults(func=cmd_estimate)
 
-    exp = sub.add_parser("experiment", help="rerun a benchmark error table")
-    exp.add_argument("--table", choices=TABLE_IDS, required=True)
-    exp.add_argument("--trials", type=int, default=1000)
+    exp = sub.add_parser("experiment", help="rerun benchmark error tables")
+    exp.add_argument(
+        "--table", nargs="+", choices=TABLE_IDS, default=list(TABLE_IDS), help="default: all"
+    )
+    exp.add_argument("--trials", type=int, default=1000, help="trials per table row")
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--out", type=Path, help="write the comparison CSV here")
+    exp.add_argument(
+        "--max-steps", type=int, help="skip rows with more steps than this (e.g. 250 for a fast pass)"
+    )
+    exp.add_argument("--out", type=Path, help="write the comparison CSV here (one table only)")
     exp.set_defaults(func=cmd_experiment)
     return parser
 
@@ -161,19 +166,12 @@ def _write_curve(result: EstimateResult, dest: Path) -> None:
 
 
 def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
-    method = args.method
-    if method in ("sigma-known-gamma", "integrated") and args.gamma is None:
-        parser.error(f"--gamma is required for --method {method}")
-    if method == "gamma-known-sigma" and args.sigma is None:
-        parser.error("--sigma is required for --method gamma-known-sigma")
-    if method == "gamma-ratio" and args.h1 == args.h2:
-        parser.error("--h1 and --h2 must differ")
-    for name in ("gamma", "h", "h1", "h2"):
-        value = getattr(args, name)
-        if value is not None and not 0.0 <= value <= 1.0:
-            parser.error(f"--{name} must lie in [0, 1]")
-    if args.grid_n is not None and args.grid_n < 2:
-        parser.error("--grid-n must be >= 2")
+    method = _METHOD_ALIASES.get(args.method, args.method)
+    params = {name: getattr(args, name) for name in ("gamma", "h", "h1", "h2", "grid_n", "sigma")}
+    try:
+        check_params(method, **params)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
         path = read_path_csv(args.infile)
@@ -185,27 +183,7 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         return 2
 
     try:
-        if method == "sigma-known-gamma":
-            h = args.h if args.h is not None else args.gamma
-            result = sigma_known_gamma(path, gamma=args.gamma, h=h)
-        elif method == "gamma-ratio":
-            result = gamma_ratio_estimate(path, h1=args.h1, h2=args.h2, grid_n=args.grid_n or 300)
-        elif method == "joint":
-            result = joint_estimate(path, grid_n=args.grid_n or 30)
-        elif method == "gamma-known-sigma":
-            if args.sigma <= 0:
-                parser.error("--sigma must be > 0 for gamma-known-sigma")
-            result = gamma_known_sigma(path, sigma=args.sigma, grid_n=args.grid_n or 30)
-        else:  # integrated
-            total = integrated_sigma_sq(path, gamma=args.gamma)
-            window = path.delta * (len(path.values) - 1)
-            result = EstimateResult(
-                method=METHOD_INTEGRATED_SIGMA_SQ,
-                sigma_hat=float(np.sqrt(total / window)),
-            )
-    except DegeneratePathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = estimate(path, method, **params)
     except (ValueError, NoSolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -222,14 +200,32 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    try:
-        report = reproduce_table(args.table, trials=args.trials, master_seed=args.seed)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(report.format_text())
-    if args.out is not None:
-        args.out.write_text(report.to_csv())
+    if args.max_steps is not None and args.max_steps < 2:
+        parser.error("--max-steps must be >= 2")
+    if args.out is not None and len(args.table) > 1:
+        parser.error("--out takes a single --table")
+    runs = []
+    for table_id in args.table:
+        steps = tuple(n for n in TABLE_STEPS[table_id] if args.max_steps is None or n <= args.max_steps)
+        if steps:
+            runs.append((table_id, steps))
+        else:
+            print(f"table {table_id}: skipped (all rows above --max-steps)", file=sys.stderr)
+    if not runs:
+        parser.error("--max-steps skips every row")
+    for table_id, steps in runs:
+        start = time.perf_counter()
+        try:
+            report = reproduce_table(
+                table_id, trials=args.trials, master_seed=args.seed, n_steps_filter=steps
+            )
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(report.format_text() + "\n")
+        print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        if args.out is not None:
+            args.out.write_text(report.to_csv())
     return 0
 
 

@@ -22,6 +22,10 @@ Writing v[h, k] = log(1 + eta[h, k]**2) for the increment series of
 * integrated_sigma_sq: sum_k v[gamma, k] estimates the integral of
   sigma(s)^2 ds over the observation window (time-dependent scale).
 
+``METHODS`` maps each method name to its estimator, and ``estimate(path,
+method, **params)`` is the one dispatcher that experiments and the command
+line share.
+
 Grid searches scan h in {1/grid_n, 2/grid_n, ..., 1} by default; ties
 resolve to the smallest candidate.  A ``search_range`` (lo, hi) narrows the
 scan to {lo + (hi-lo)*k/grid_n}, e.g. (0.5, 1.0) restricts the power index
@@ -34,6 +38,7 @@ moment of y(T).
 """
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -46,7 +51,10 @@ from .simulate import DegeneratePathError, SamplePath
 
 __all__ = [
     "EstimateResult",
+    "METHODS",
     "NoSolutionError",
+    "check_params",
+    "estimate",
     "sigma_known_gamma",
     "gamma_ratio_estimate",
     "joint_estimate",
@@ -114,17 +122,31 @@ class EstimateResult:
         )
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+def _check(
+    gamma: float | None = None,
+    h: float | None = None,
+    h1: float | None = None,
+    h2: float | None = None,
+    sigma: float | None = None,
+    grid_n: int | None = None,
+    search_range: tuple[float, float] | None = None,
+) -> None:
+    """Raise ValueError for a parameter value that no estimator accepts; None is not checked."""
+    for name, value in (("gamma", gamma), ("h", h), ("h1", h1), ("h2", h2)):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be > 0")
+    if grid_n is not None and grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
+    if search_range is not None and not 0.0 <= search_range[0] < search_range[1] <= 1.0:
+        raise ValueError("search_range must satisfy 0 <= lo < hi <= 1")
+    if h1 is not None and h1 == h2:
+        raise ValueError("h1 and h2 must differ")
 
 
 def _grid(grid_n: int, search_range: tuple[float, float]) -> np.ndarray:
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     lo, hi = search_range
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError("search_range must satisfy 0 <= lo < hi <= 1")
     return lo + (hi - lo) * np.arange(1, grid_n + 1) / grid_n
 
 
@@ -172,14 +194,16 @@ def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return v_bars, spreads
 
 
-def sigma_known_gamma(path: SamplePath, gamma: float, h: float) -> EstimateResult:
+def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) -> EstimateResult:
     """Estimate sigma assuming the power index gamma is known.
 
-    Any h in [0, 1] is admissible; h = gamma makes the weight sum trivial.
-    A constant path returns sigma_hat = 0 with the degenerate flag set.
+    Any h in [0, 1] is admissible; the default h = gamma makes the weight
+    sum trivial.  A constant path returns sigma_hat = 0 with the degenerate
+    flag set.
     """
-    _check_unit("gamma", gamma)
-    _check_unit("h", h)
+    if h is None:
+        h = gamma
+    _check(gamma=gamma, h=h)
     aux = compute_aux(path, h)
     total = float(np.sum(aux.v))
     if total == 0.0:
@@ -203,10 +227,7 @@ def gamma_ratio_estimate(
     | sum y**(2*(g-h1)) / sum y**(2*(g-h2)) - sum v[h1] / sum v[h2] |.
     Requires h1 != h2.  Does not produce a sigma estimate.
     """
-    _check_unit("h1", h1)
-    _check_unit("h2", h2)
-    if h1 == h2:
-        raise ValueError("h1 and h2 must differ")
+    _check(h1=h1, h2=h2, grid_n=grid_n, search_range=search_range)
     grid = _grid(grid_n, search_range)
     s1 = float(np.sum(compute_aux(path, h1).v))
     s2 = float(np.sum(compute_aux(path, h2).v))
@@ -246,6 +267,7 @@ def joint_estimate(
     increments rather than toward the flattest h.  sigma then follows as
     sqrt(mean(v[gamma]) / delta).
     """
+    _check(grid_n=grid_n, search_range=search_range)
     grid = _grid(grid_n, search_range)
     v_bars, objective = _spread(path, grid)
     best = _argmin(grid, objective)
@@ -282,8 +304,7 @@ def gamma_known_sigma(
     level term, which keeps the search identified on one-sided paths where
     the dispersion term alone goes flat.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be > 0")
+    _check(sigma=sigma, grid_n=grid_n, search_range=search_range)
     grid = _grid(grid_n, search_range)
     v_bars, spreads = _spread(path, grid)
     level_target = path.delta * sigma * sigma
@@ -307,8 +328,80 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
     Works for a time-dependent scale; for constant sigma the value divided
     by the window length estimates sigma^2.
     """
-    _check_unit("gamma", gamma)
+    _check(gamma=gamma)
     return float(np.sum(compute_aux(path, gamma).v))
+
+
+def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
+    """sigma as the root mean of integrated_sigma_sq over the observation window."""
+    total = integrated_sigma_sq(path, gamma)
+    window = path.delta * (len(path.values) - 1)
+    return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=float(np.sqrt(total / window)))
+
+
+# ---------------------------------------------------------------------------
+# method registry
+
+
+@dataclass(frozen=True)
+class Method:
+    """One estimation method: its estimator, parameters and estimated coordinates.
+
+    ``function`` is the estimator's name in this module; ``estimate`` looks
+    it up when called, so a wrapper installed on the module attribute sees
+    every call.  ``required`` and ``defaults`` come from the estimator's
+    signature.  ``produces`` lists "sigma" and/or "gamma", default target
+    first.
+    """
+
+    function: str
+    produces: tuple[str, ...]
+    required: tuple[str, ...]
+    defaults: dict[str, object]
+
+
+def _method(function: str, *produces: str) -> Method:
+    params = list(inspect.signature(globals()[function]).parameters.values())[1:]
+    return Method(
+        function=function,
+        produces=produces,
+        required=tuple(p.name for p in params if p.default is p.empty),
+        defaults={p.name: p.default for p in params if p.default is not p.empty},
+    )
+
+
+METHODS = {
+    METHOD_SIGMA_KNOWN_GAMMA: _method("sigma_known_gamma", "sigma"),
+    METHOD_GAMMA_RATIO: _method("gamma_ratio_estimate", "gamma"),
+    METHOD_JOINT_VARIANCE: _method("joint_estimate", "gamma", "sigma"),
+    METHOD_GAMMA_KNOWN_SIGMA: _method("gamma_known_sigma", "gamma"),
+    METHOD_INTEGRATED_SIGMA_SQ: _method("_integrated_sigma", "sigma"),
+}
+
+
+def check_params(method: str, **params) -> dict[str, object]:
+    """The keyword arguments ``estimate`` passes to the method's estimator.
+
+    None values are dropped, so the estimator's own defaults apply, and so
+    are parameters the method does not take.  Raises ValueError for an
+    unknown method, a missing required parameter, or a given or defaulted
+    value that the estimators refuse, and TypeError for an unknown name.
+    """
+    entry = METHODS.get(method)
+    if entry is None:
+        raise ValueError(f"unknown estimator method {method!r}; expected one of {tuple(METHODS)}")
+    given = {name: value for name, value in params.items() if value is not None}
+    for name in entry.required:
+        if name not in given:
+            raise ValueError(f"{method} needs its {name} parameter")
+    _check(**{**entry.defaults, **given})
+    return {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
+
+
+def estimate(path: SamplePath, method: str, **params) -> EstimateResult:
+    """Run the registered ``method`` on one path; ``params`` as for ``check_params``."""
+    kwargs = check_params(method, **params)
+    return globals()[METHODS[method].function](path, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
-    METHOD_GAMMA_KNOWN_SIGMA,
     METHOD_GAMMA_RATIO,
     METHOD_JOINT_VARIANCE,
     METHOD_SIGMA_KNOWN_GAMMA,
+    METHODS,
     NoSolutionError,
-    gamma_known_sigma,
-    gamma_ratio_estimate,
-    joint_estimate,
-    sigma_known_gamma,
+    check_params,
+    estimate,
 )
 from .model import ModelSpec, sample_delay_drift
 from .simulate import DegeneratePathError, SimConfig, euler_maruyama
@@ -48,6 +46,7 @@ __all__ = [
     "bootstrap_rmse_se",
     "reproduce_table",
     "TABLE_IDS",
+    "TABLE_STEPS",
 ]
 
 
@@ -78,70 +77,36 @@ class RandomizedDrift:
 class EstimatorSpec:
     """Which estimator an experiment runs, with its parameters.
 
-    ``target`` selects which coordinate the error is measured on ("sigma"
-    or "gamma"); by default it follows the method (sigma-known-gamma ->
-    sigma, the gamma searches -> gamma).  joint-variance produces both, so
-    either target is valid for it.
+    ``method`` is a key of ``estimators.METHODS``; parameters left at None
+    take the estimator's own defaults.  ``target`` selects which coordinate
+    the error is measured on ("sigma" or "gamma"); by default it follows
+    the method (sigma-known-gamma -> sigma, the gamma searches -> gamma).
+    joint-variance produces both, so either target is valid for it.
     """
 
     method: str
     gamma: float | None = None
     h: float | None = None
-    h1: float = 0.0
-    h2: float = 1.0
+    h1: float | None = None
+    h2: float | None = None
     grid_n: int | None = None
     sigma: float | None = None
     target: str | None = None
-    search_range: tuple[float, float] = (0.0, 1.0)
-
-    _DEFAULT_TARGETS = {
-        METHOD_SIGMA_KNOWN_GAMMA: "sigma",
-        METHOD_GAMMA_RATIO: "gamma",
-        METHOD_JOINT_VARIANCE: "gamma",
-        METHOD_GAMMA_KNOWN_SIGMA: "gamma",
-    }
+    search_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in self._DEFAULT_TARGETS:
-            raise ValueError(f"unknown estimator method {self.method!r}")
-        if self.method == METHOD_SIGMA_KNOWN_GAMMA and self.gamma is None:
-            raise ValueError("sigma-known-gamma needs its gamma parameter")
-        if self.method == METHOD_GAMMA_KNOWN_SIGMA and self.sigma is None:
-            raise ValueError("gamma-known-sigma needs its sigma parameter")
-        target = self.target if self.target is not None else self._DEFAULT_TARGETS[self.method]
-        if target not in ("sigma", "gamma"):
-            raise ValueError("target must be 'sigma' or 'gamma'")
-        produces_sigma = self.method in (METHOD_SIGMA_KNOWN_GAMMA, METHOD_JOINT_VARIANCE)
-        produces_gamma = self.method != METHOD_SIGMA_KNOWN_GAMMA
-        if target == "sigma" and not produces_sigma:
-            raise ValueError(f"{self.method} does not estimate sigma")
-        if target == "gamma" and not produces_gamma:
-            raise ValueError(f"{self.method} does not estimate gamma")
+        names = ("gamma", "h", "h1", "h2", "grid_n", "sigma", "search_range")
+        kwargs = check_params(self.method, **{name: getattr(self, name) for name in names})
+        produces = METHODS[self.method].produces
+        target = self.target if self.target is not None else produces[0]
+        if target not in produces:
+            raise ValueError(f"{self.method} does not estimate {target}")
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_kwargs", kwargs)
 
     def estimate(self, path) -> float:
-        if self.method == METHOD_SIGMA_KNOWN_GAMMA:
-            h = self.h if self.h is not None else self.gamma
-            return float(sigma_known_gamma(path, gamma=self.gamma, h=h).sigma_hat)
-        if self.method == METHOD_GAMMA_RATIO:
-            result = gamma_ratio_estimate(
-                path,
-                h1=self.h1,
-                h2=self.h2,
-                grid_n=self.grid_n or 300,
-                search_range=self.search_range,
-            )
-            return float(result.gamma_hat)
-        if self.method == METHOD_JOINT_VARIANCE:
-            result = joint_estimate(
-                path, grid_n=self.grid_n or 30, search_range=self.search_range
-            )
-            value = result.sigma_hat if self.target == "sigma" else result.gamma_hat
-            return float(value)
-        result = gamma_known_sigma(
-            path, sigma=self.sigma, grid_n=self.grid_n or 30, search_range=self.search_range
-        )
-        return float(result.gamma_hat)
+        result = estimate(path, self.method, **self._kwargs)
+        return float(result.sigma_hat if self.target == "sigma" else result.gamma_hat)
 
 
 @dataclass(frozen=True)
@@ -295,6 +260,14 @@ _T3_ROWS = [
     (10000, (0.0063, 0.0038, 0.0001)),
     (20000, (0.0168, 0.0108, 0.00003)),
 ]
+_T1_STEPS = {"t1a": 52, "t1b": 250}
+
+# the distinct step counts of each table's rows, in row order
+TABLE_STEPS = {
+    **{table_id: (n,) for table_id, n in _T1_STEPS.items()},
+    "t2": tuple(dict.fromkeys(n for n, _, _ in _T2_ROWS)),
+    "t3": tuple(n for n, _ in _T3_ROWS),
+}
 
 _BENCH_SIGMA = 0.3
 _T1_GAMMA_HYP = 0.5
@@ -405,7 +378,7 @@ class TableReport:
 def _table_configs(table_id: str, trials: int, master_seed: int) -> list[tuple[str, ExperimentConfig, tuple[float, float, float]]]:
     entries: list[tuple[str, ExperimentConfig, tuple[float, float, float]]] = []
     if table_id in ("t1a", "t1b"):
-        n = 52 if table_id == "t1a" else 250
+        n = _T1_STEPS[table_id]
         refs = _T1A_REFS if table_id == "t1a" else _T1B_REFS
         for idx, ((label, gamma_sim), ref) in enumerate(zip(_T1_ROWS, refs)):
             cfg = ExperimentConfig(
@@ -414,15 +387,12 @@ def _table_configs(table_id: str, trials: int, master_seed: int) -> list[tuple[s
                 model=RandomizedDrift(
                     sigma=_BENCH_SIGMA, gamma=gamma_sim, oscillation_scale=_BENCH_OSC_SCALE
                 ),
-                estimator=EstimatorSpec(
-                    method=METHOD_SIGMA_KNOWN_GAMMA, gamma=_T1_GAMMA_HYP, h=_T1_GAMMA_HYP
-                ),
+                estimator=EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=_T1_GAMMA_HYP),
                 master_seed=(master_seed, idx),
             )
             entries.append((label, cfg, ref))
     elif table_id == "t2":
         for idx, (n, method, ref) in enumerate(_T2_ROWS):
-            grid_n = 300 if method == METHOD_GAMMA_RATIO else 30
             cfg = ExperimentConfig(
                 trials=trials,
                 sim=SimConfig(n_steps=n, y0_range=_T2_Y0_RANGE),
@@ -431,7 +401,6 @@ def _table_configs(table_id: str, trials: int, master_seed: int) -> list[tuple[s
                 ),
                 estimator=EstimatorSpec(
                     method=method,
-                    grid_n=grid_n,
                     target="gamma",
                     h1=_T2_H_PAIR[0],
                     h2=_T2_H_PAIR[1],
@@ -450,7 +419,6 @@ def _table_configs(table_id: str, trials: int, master_seed: int) -> list[tuple[s
                 ),
                 estimator=EstimatorSpec(
                     method=METHOD_JOINT_VARIANCE,
-                    grid_n=30,
                     target="sigma",
                     search_range=_T23_SEARCH_RANGE,
                 ),

@@ -192,6 +192,7 @@ class TestEstimate:
             ("estimate", "--in", "x.csv", "--method", "gamma-ratio", "--h1", "0.5", "--h2", "0.5"),
             ("estimate", "--in", "x.csv", "--method", "joint", "--grid-n", "1"),
             ("estimate", "--in", "x.csv", "--method", "sigma-known-gamma", "--gamma", "2"),
+            ("estimate", "--in", "x.csv", "--method", "gamma-known-sigma", "--sigma", "0"),
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -219,4 +220,25 @@ class TestExperiment:
     def test_unknown_table_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--table", "t7")
+        assert exc.value.code == 2
+
+    def test_max_steps_skips_tables_above_it(self, capsys):
+        assert run_cli(
+            "experiment", "--table", "t1a", "t1b", "--max-steps", "52", "--trials", "2"
+        ) == 0
+        captured = capsys.readouterr()
+        assert "table t1a" in captured.out
+        assert "t1b" not in captured.out
+        assert "table t1b: skipped" in captured.err
+        assert "table t1a: " in captured.err  # wall time
+
+    def test_out_with_several_tables_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "--table", "t1a", "t1b", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("max_steps", ["10", "1", "-5"])
+    def test_max_steps_leaving_no_row_rejected(self, max_steps):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "--max-steps", max_steps, "--trials", "1")
         assert exc.value.code == 2

@@ -38,6 +38,11 @@ class TestSigmaKnownGamma:
         result = sigma_known_gamma(make_path([4.0, 4.2], delta=0.01), gamma=0.5, h=0.5)
         assert result.sigma_hat == pytest.approx(0.997513451195927, rel=1e-14)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.6, 1.0])
+    def test_h_defaults_to_gamma(self, gamma):
+        path = simulated_path(n=500, seed=3)
+        assert sigma_known_gamma(path, gamma=gamma) == sigma_known_gamma(path, gamma=gamma, h=gamma)
+
     def test_weight_uses_successor_values(self):
         # path [1, 4, 9], gamma=1, h=0, delta=1: weights 4^2 + 9^2 = 97,
         # not 1 + 16 = 17; frozen from a hand computation

@@ -150,6 +150,12 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError, match="sigma"):
             EstimatorSpec(method="gamma-known-sigma")
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.3, math.nan, math.inf])
+    def test_nonpositive_known_sigma_rejected_when_built(self, sigma):
+        # refused here rather than by every trial of the run
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            EstimatorSpec(method="gamma-known-sigma", sigma=sigma)
+
     def test_target_defaults_follow_method(self):
         assert EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.5).target == "sigma"
         assert EstimatorSpec(method=METHOD_GAMMA_RATIO).target == "gamma"
