@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stop-ratio", type=float, default=0.001)
     sim.add_argument("--delay-rule", choices=("scaled", "literal"), default="scaled")
     sim.add_argument("--out", type=Path, required=True, help="output CSV file (header t,y)")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, parser=sim)
 
     est = sub.add_parser("estimate", help="run one estimator on a path CSV")
     est.add_argument("--in", dest="infile", type=Path, required=True, help="input CSV (header t,y)")
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--grid-n", type=int, help="search grid size (default 300 ratio, 30 others)")
     est.add_argument("--sigma", type=float, help="known sigma (gamma-known-sigma)")
     est.add_argument("--curve", type=Path, help="write the objective curve CSV here")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=cmd_estimate, parser=est)
 
     exp = sub.add_parser("experiment", help="rerun benchmark error tables")
     exp.add_argument(
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-steps", type=int, help="skip rows with more steps than this (e.g. 250 for a fast pass)"
     )
     exp.add_argument("--out", type=Path, help="write the comparison CSV here (one table only)")
-    exp.set_defaults(func=cmd_experiment)
+    exp.set_defaults(func=cmd_experiment, parser=exp)
     return parser
 
 
@@ -232,7 +232,8 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    # each handler reports usage errors with its own subcommand's usage line
+    return args.func(args, args.parser)
 
 
 if __name__ == "__main__":

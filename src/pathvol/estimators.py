@@ -3,7 +3,8 @@
 Every estimator here is an explicit functional of a single observed path
 y(t_k): no drift model, likelihood, or distributional assumption enters.
 Writing v[h, k] = log(1 + eta[h, k]**2) for the increment series of
-``auxprocess.compute_aux``:
+``auxprocess.compute_aux`` (the estimators take it from one private block
+kernel that computes the same values):
 
 * sigma_known_gamma: sigma^2 estimated by
       sum_k v[h, k] / (delta * sum_k y(t_k)**(2*(gamma - h))),
@@ -21,6 +22,11 @@ Writing v[h, k] = log(1 + eta[h, k]**2) for the increment series of
   sigma**2).
 * integrated_sigma_sq: sum_k v[gamma, k] estimates the integral of
   sigma(s)^2 ds over the observation window (time-dependent scale).
+
+A sigma estimate that a path cannot give as a finite number (an
+increment sum or quotient that overflows, a weight sum that underflows to
+zero) raises DegeneratePathError, as does a grid search whose objective is
+not finite.
 
 ``METHODS`` maps each method name to its estimator, and ``estimate(path,
 method, **params)`` is the one dispatcher that experiments and the command
@@ -46,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .auxprocess import compute_aux
 from .simulate import DegeneratePathError, SamplePath
 
 __all__ = [
@@ -163,35 +168,61 @@ def _curve(grid: np.ndarray, objective: np.ndarray) -> tuple[tuple[float, float]
     return tuple(zip(grid.tolist(), objective.tolist()))
 
 
-def _row_blocks(grid: np.ndarray, n: int) -> Iterator[slice]:
-    """Consecutive slices of the grid, each of about _BLOCK // n candidates (at least one)."""
+def _row_blocks(count: int, n: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of about _BLOCK // n rows (at least one)."""
     step = max(1, _BLOCK // n)
-    for start in range(0, grid.size, step):
-        yield slice(start, min(start + step, grid.size))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _increment_blocks(path: SamplePath, exponents: list[float]) -> Iterator[tuple[slice, np.ndarray]]:
+    """Blocks (rows, v) of v[h, k] = log1p((dy[k] / y_prev[k]**h)**2), one row per exponent h."""
+    y = path.values
+    dy = np.diff(y)
+    prev = y[:-1]
+    for rows in _row_blocks(len(exponents), dy.size):
+        v = np.empty((rows.stop - rows.start, dy.size))
+        # one scalar power per row keeps numpy's ** shortcuts (sqrt at h = 0.5)
+        for row, h in zip(v, exponents[rows]):
+            np.divide(dy, prev**h, out=row)
+        v *= v
+        np.log1p(v, out=v)
+        yield rows, v
+
+
+def _increment_sums(path: SamplePath, exponents: list[float]) -> np.ndarray:
+    """sum_k v[h, k] for each exponent h."""
+    sums = np.empty(len(exponents))
+    for rows, v in _increment_blocks(path, exponents):
+        v.sum(axis=1, out=sums[rows])
+    return sums
 
 
 def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per candidate h: v_bar[h] = mean(v[h]) and spread[h] = sum_k (v[h, k] / v_bar[h] - 1)**2."""
-    y = path.values
-    dy = np.diff(y)
-    if not np.any(dy != 0.0):
+    if not np.any(np.diff(path.values)):
         raise DegeneratePathError("constant path: no increments to fit")
-    prev = y[:-1]
     v_bars = np.empty(grid.size)
     spreads = np.empty(grid.size)
-    for rows in _row_blocks(grid, dy.size):
-        v = np.empty((rows.stop - rows.start, dy.size))
-        # one scalar power per row keeps numpy's ** shortcuts (sqrt at h = 0.5)
-        for row, h in zip(v, grid[rows].tolist()):
-            np.divide(dy, prev**h, out=row)
-        v *= v
-        np.log1p(v, out=v)
+    for rows, v in _increment_blocks(path, grid.tolist()):
         v_bars[rows] = v_bar = v.mean(axis=1)
         v /= v_bar[:, None]
         v -= 1.0
         v *= v
         v.sum(axis=1, out=spreads[rows])
     return v_bars, spreads
+
+
+def _sigma_hat(total: float, weight: float) -> float:
+    """sqrt(total / weight), refusing a non-finite sum, a zero weight and a non-finite result."""
+    if not math.isfinite(total):
+        raise DegeneratePathError("increment sum is not finite")
+    if weight == 0.0:
+        raise DegeneratePathError("weight sum is zero")
+    sigma_hat = math.sqrt(total / weight)
+    if not math.isfinite(sigma_hat):
+        raise DegeneratePathError("scale estimate is not finite")
+    return sigma_hat
 
 
 def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) -> EstimateResult:
@@ -204,13 +235,12 @@ def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) ->
     if h is None:
         h = gamma
     _check(gamma=gamma, h=h)
-    aux = compute_aux(path, h)
-    total = float(np.sum(aux.v))
+    total = float(_increment_sums(path, [h])[0])
     if total == 0.0:
         return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
     tail = path.values[1:]
     weight = path.delta * float(np.sum(tail ** (2.0 * (gamma - h))))
-    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=math.sqrt(total / weight))
+    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, weight))
 
 
 def gamma_ratio_estimate(
@@ -229,8 +259,7 @@ def gamma_ratio_estimate(
     """
     _check(h1=h1, h2=h2, grid_n=grid_n, search_range=search_range)
     grid = _grid(grid_n, search_range)
-    s1 = float(np.sum(compute_aux(path, h1).v))
-    s2 = float(np.sum(compute_aux(path, h2).v))
+    s1, s2 = _increment_sums(path, [h1, h2]).tolist()
     if s1 == 0.0 or s2 == 0.0:
         raise DegeneratePathError("constant path: increment sums vanish")
     rhs = s1 / s2
@@ -238,7 +267,7 @@ def gamma_ratio_estimate(
     sums = np.empty((2, grid.size))
     for row_sums, h in zip(sums, (h1, h2)):
         scale = 2.0 * (grid - h)
-        for rows in _row_blocks(grid, log_tail.size):
+        for rows in _row_blocks(grid.size, log_tail.size):
             block = np.multiply(scale[rows, None], log_tail)
             np.exp(block, out=block)
             block.sum(axis=1, out=row_sums[rows])
@@ -271,13 +300,10 @@ def joint_estimate(
     grid = _grid(grid_n, search_range)
     v_bars, objective = _spread(path, grid)
     best = _argmin(grid, objective)
-    sigma_hat = math.sqrt(v_bars[best] / path.delta)
-    if not math.isfinite(sigma_hat):
-        raise DegeneratePathError(f"scale estimate is not finite at candidate {float(grid[best]):.17g}")
     return EstimateResult(
         method=METHOD_JOINT_VARIANCE,
         gamma_hat=float(grid[best]),
-        sigma_hat=sigma_hat,
+        sigma_hat=_sigma_hat(float(v_bars[best]), path.delta),
         grid_n=grid_n,
         objective_min=float(objective[best]),
         objective_curve=_curve(grid, objective),
@@ -329,14 +355,17 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
     by the window length estimates sigma^2.
     """
     _check(gamma=gamma)
-    return float(np.sum(compute_aux(path, gamma).v))
+    total = float(_increment_sums(path, [gamma])[0])
+    if not math.isfinite(total):
+        raise DegeneratePathError("increment sum is not finite")
+    return total
 
 
 def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
     """sigma as the root mean of integrated_sigma_sq over the observation window."""
     total = integrated_sigma_sq(path, gamma)
     window = path.delta * (len(path.values) - 1)
-    return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=float(np.sqrt(total / window)))
+    return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=_sigma_hat(total, window))
 
 
 # ---------------------------------------------------------------------------

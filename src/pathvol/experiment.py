@@ -10,7 +10,9 @@ failed root search) are excluded from the error aggregates and counted.
 
 ``reproduce_table`` reruns the four published benchmark tables (t1a, t1b,
 t2, t3) and reports the measured rmse / mae / bias next to the reference
-values those tables print.
+values those tables print.  There the master seed of row i is
+(master_seed, i), so its trials draw from (master_seed, i, trial) whichever
+rows a step-count filter keeps.
 """
 from __future__ import annotations
 
@@ -223,56 +225,6 @@ def bootstrap_rmse_se(errors, n_boot: int = 1000, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # benchmark tables
 
-TABLE_IDS = ("t1a", "t1b", "t2", "t3")
-
-# Reference (rmse, mae, bias) triples for each benchmark row.
-_T1_ROWS = [
-    # (row label, simulated gamma, estimator hypothesis h = gamma)
-    ("gamma=0.5 h=0.5", 0.5),
-    ("gamma=0.4 h=0.5", 0.4),
-    ("gamma=0.6 h=0.5", 0.6),
-    ("gamma=0.7 h=0.5", 0.7),
-]
-_T1A_REFS = [
-    (0.0312, 0.0248, 0.0034),
-    (0.0458, 0.0365, 0.0281),
-    (0.0358, 0.0290, -0.0183),
-    (0.0495, 0.0413, -0.0370),
-]
-_T1B_REFS = [
-    (0.0136, 0.0109, 0.0006),
-    (0.0328, 0.0272, 0.0259),
-    (0.0269, 0.0227, -0.0215),
-    (0.0468, 0.0416, -0.0414),
-]
-_T2_ROWS = [
-    # (n_steps, method, reference triple) for gamma estimation at gamma = 0.6
-    (250, METHOD_GAMMA_RATIO, (0.2078, 0.1736, 0.1078)),
-    (250, METHOD_JOINT_VARIANCE, (0.2304, 0.1946, 0.1166)),
-    (10000, METHOD_GAMMA_RATIO, (0.0309, 0.0182, 0.0039)),
-    (10000, METHOD_JOINT_VARIANCE, (0.0356, 0.0221, 0.0042)),
-    (20000, METHOD_GAMMA_RATIO, (0.0222, 0.0109, 0.0020)),
-    (20000, METHOD_JOINT_VARIANCE, (0.0483, 0.0294, 0.0004)),
-]
-_T3_ROWS = [
-    # (n_steps, reference triple) for sigma from the joint estimate, gamma = 0.6
-    (250, (0.0515, 0.0264, 0.0092)),
-    (10000, (0.0063, 0.0038, 0.0001)),
-    (20000, (0.0168, 0.0108, 0.00003)),
-]
-_T1_STEPS = {"t1a": 52, "t1b": 250}
-
-# the distinct step counts of each table's rows, in row order
-TABLE_STEPS = {
-    **{table_id: (n,) for table_id, n in _T1_STEPS.items()},
-    "t2": tuple(dict.fromkeys(n for n, _, _ in _T2_ROWS)),
-    "t3": tuple(n for n, _ in _T3_ROWS),
-}
-
-_BENCH_SIGMA = 0.3
-_T1_GAMMA_HYP = 0.5
-_T23_GAMMA = 0.6
-
 # Benchmark protocol calibration.  The published tables cannot all be
 # reproduced from the experiment description exactly as printed; the table
 # values themselves pin down four conventions the description leaves loose
@@ -312,12 +264,59 @@ _T23_GAMMA = 0.6
 # Ordinary SimConfig / sample_delay_drift / estimator defaults keep their
 # documented values; only the reproduce_table configurations use these
 # calibrated settings.
+_BENCH_SIGMA = 0.3
 _BENCH_OSC_SCALE = 0.1
-_T1_Y0_RANGE = (0.1, 1.0)
-_T2_Y0_RANGE = (0.1, 10.0)
-_T3_Y0_RANGE = (0.1, 1.0)
+_LOW_Y0 = (0.1, 1.0)
+_WIDE_Y0 = (0.1, 10.0)
 _T23_SEARCH_RANGE = (0.5, 1.0)
-_T2_H_PAIR = (0.25, 0.75)
+
+# the four benchmark estimators: sigma under the hypothesis h = gamma = 0.5
+# (t1a/t1b), then the power searches (t2) and the joint sigma (t3)
+_SIGMA_AT_HALF = EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.5)
+_RATIO = EstimatorSpec(
+    method=METHOD_GAMMA_RATIO, h1=0.25, h2=0.75, search_range=_T23_SEARCH_RANGE
+)
+_JOINT_GAMMA = EstimatorSpec(
+    method=METHOD_JOINT_VARIANCE, target="gamma", search_range=_T23_SEARCH_RANGE
+)
+_JOINT_SIGMA = EstimatorSpec(
+    method=METHOD_JOINT_VARIANCE, target="sigma", search_range=_T23_SEARCH_RANGE
+)
+
+# table id -> rows of (label, n_steps, simulated gamma, y0 range, estimator,
+# reference (rmse, mae, bias)); every row simulates sigma = _BENCH_SIGMA
+_TABLES = {
+    "t1a": (
+        ("gamma=0.5 h=0.5", 52, 0.5, _LOW_Y0, _SIGMA_AT_HALF, (0.0312, 0.0248, 0.0034)),
+        ("gamma=0.4 h=0.5", 52, 0.4, _LOW_Y0, _SIGMA_AT_HALF, (0.0458, 0.0365, 0.0281)),
+        ("gamma=0.6 h=0.5", 52, 0.6, _LOW_Y0, _SIGMA_AT_HALF, (0.0358, 0.0290, -0.0183)),
+        ("gamma=0.7 h=0.5", 52, 0.7, _LOW_Y0, _SIGMA_AT_HALF, (0.0495, 0.0413, -0.0370)),
+    ),
+    "t1b": (
+        ("gamma=0.5 h=0.5", 250, 0.5, _LOW_Y0, _SIGMA_AT_HALF, (0.0136, 0.0109, 0.0006)),
+        ("gamma=0.4 h=0.5", 250, 0.4, _LOW_Y0, _SIGMA_AT_HALF, (0.0328, 0.0272, 0.0259)),
+        ("gamma=0.6 h=0.5", 250, 0.6, _LOW_Y0, _SIGMA_AT_HALF, (0.0269, 0.0227, -0.0215)),
+        ("gamma=0.7 h=0.5", 250, 0.7, _LOW_Y0, _SIGMA_AT_HALF, (0.0468, 0.0416, -0.0414)),
+    ),
+    "t2": (
+        ("delta=1/250 gamma-ratio", 250, 0.6, _WIDE_Y0, _RATIO, (0.2078, 0.1736, 0.1078)),
+        ("delta=1/250 joint-variance", 250, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.2304, 0.1946, 0.1166)),
+        ("delta=1/10000 gamma-ratio", 10000, 0.6, _WIDE_Y0, _RATIO, (0.0309, 0.0182, 0.0039)),
+        ("delta=1/10000 joint-variance", 10000, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.0356, 0.0221, 0.0042)),
+        ("delta=1/20000 gamma-ratio", 20000, 0.6, _WIDE_Y0, _RATIO, (0.0222, 0.0109, 0.0020)),
+        ("delta=1/20000 joint-variance", 20000, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.0483, 0.0294, 0.0004)),
+    ),
+    "t3": (
+        ("delta=1/250", 250, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0515, 0.0264, 0.0092)),
+        ("delta=1/10000", 10000, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0063, 0.0038, 0.0001)),
+        ("delta=1/20000", 20000, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0168, 0.0108, 0.00003)),
+    ),
+}
+
+TABLE_IDS = tuple(_TABLES)
+
+# the distinct step counts of each table's rows, in row order
+TABLE_STEPS = {table_id: tuple(dict.fromkeys(row[1] for row in rows)) for table_id, rows in _TABLES.items()}
 
 
 @dataclass(frozen=True)
@@ -375,61 +374,6 @@ class TableReport:
         return "\n".join(lines)
 
 
-def _table_configs(table_id: str, trials: int, master_seed: int) -> list[tuple[str, ExperimentConfig, tuple[float, float, float]]]:
-    entries: list[tuple[str, ExperimentConfig, tuple[float, float, float]]] = []
-    if table_id in ("t1a", "t1b"):
-        n = _T1_STEPS[table_id]
-        refs = _T1A_REFS if table_id == "t1a" else _T1B_REFS
-        for idx, ((label, gamma_sim), ref) in enumerate(zip(_T1_ROWS, refs)):
-            cfg = ExperimentConfig(
-                trials=trials,
-                sim=SimConfig(n_steps=n, y0_range=_T1_Y0_RANGE),
-                model=RandomizedDrift(
-                    sigma=_BENCH_SIGMA, gamma=gamma_sim, oscillation_scale=_BENCH_OSC_SCALE
-                ),
-                estimator=EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=_T1_GAMMA_HYP),
-                master_seed=(master_seed, idx),
-            )
-            entries.append((label, cfg, ref))
-    elif table_id == "t2":
-        for idx, (n, method, ref) in enumerate(_T2_ROWS):
-            cfg = ExperimentConfig(
-                trials=trials,
-                sim=SimConfig(n_steps=n, y0_range=_T2_Y0_RANGE),
-                model=RandomizedDrift(
-                    sigma=_BENCH_SIGMA, gamma=_T23_GAMMA, oscillation_scale=_BENCH_OSC_SCALE
-                ),
-                estimator=EstimatorSpec(
-                    method=method,
-                    target="gamma",
-                    h1=_T2_H_PAIR[0],
-                    h2=_T2_H_PAIR[1],
-                    search_range=_T23_SEARCH_RANGE,
-                ),
-                master_seed=(master_seed, idx),
-            )
-            entries.append((f"delta=1/{n} {method}", cfg, ref))
-    elif table_id == "t3":
-        for idx, (n, ref) in enumerate(_T3_ROWS):
-            cfg = ExperimentConfig(
-                trials=trials,
-                sim=SimConfig(n_steps=n, y0_range=_T3_Y0_RANGE),
-                model=RandomizedDrift(
-                    sigma=_BENCH_SIGMA, gamma=_T23_GAMMA, oscillation_scale=_BENCH_OSC_SCALE
-                ),
-                estimator=EstimatorSpec(
-                    method=METHOD_JOINT_VARIANCE,
-                    target="sigma",
-                    search_range=_T23_SEARCH_RANGE,
-                ),
-                master_seed=(master_seed, idx),
-            )
-            entries.append((f"delta=1/{n}", cfg, ref))
-    else:
-        raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
-    return entries
-
-
 def reproduce_table(
     table_id: str,
     trials: int = 1000,
@@ -439,23 +383,26 @@ def reproduce_table(
     """Rerun one benchmark table and compare against its reference values.
 
     ``n_steps_filter`` restricts the run to rows with the given grid sizes
-    (useful to skip the slow high-frequency rows).
+    (useful to skip the slow high-frequency rows).  Row i of the table runs
+    its trials on seeds (master_seed, i, trial) whether or not other rows
+    are filtered out.
     """
-    entries = _table_configs(table_id, trials=trials, master_seed=master_seed)
+    if table_id not in _TABLES:
+        raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
     rows: list[TableRow] = []
-    for label, cfg, ref in entries:
-        if n_steps_filter is not None and cfg.sim.n_steps not in n_steps_filter:
+    for index, (label, n_steps, gamma, y0_range, estimator, ref) in enumerate(_TABLES[table_id]):
+        if n_steps_filter is not None and n_steps not in n_steps_filter:
             continue
-        stats = run_experiment(cfg)
-        rows.append(
-            TableRow(
-                row_id=label,
-                stats=stats,
-                paper_rmse=ref[0],
-                paper_mae=ref[1],
-                paper_bias=ref[2],
-            )
+        cfg = ExperimentConfig(
+            trials=trials,
+            sim=SimConfig(n_steps=n_steps, y0_range=y0_range),
+            model=RandomizedDrift(
+                sigma=_BENCH_SIGMA, gamma=gamma, oscillation_scale=_BENCH_OSC_SCALE
+            ),
+            estimator=estimator,
+            master_seed=(master_seed, index),
         )
+        rows.append(TableRow(label, run_experiment(cfg), *ref))
     if not rows:
         raise ValueError("n_steps_filter removed every row of the table")
     return TableReport(table_id=table_id, trials=trials, rows=tuple(rows))

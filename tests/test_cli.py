@@ -201,6 +201,32 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
+    def test_zero_weight_sum_exit_1(self, tmp_path, capsys):
+        src = write_csv(tmp_path, "tiny.csv", "t,y\n0,1\n0.01,1e-300\n")
+        assert run_cli(
+            "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1", "--h", "0"
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: weight sum is zero")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("experiment", "--table", "t1a", "t2", "--out", "x.csv"),
+        ("estimate", "--in", "nope.csv", "--method", "gamma-known-sigma", "--sigma", "0"),
+        ("simulate", "--n", "1", "--out", "x.csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_usage_error_shows_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: pathvol {argv[0]} ")
+    assert f"pathvol {argv[0]}: error: " in err
+
+
 class TestExperiment:
     def test_small_table_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "t1b.csv"

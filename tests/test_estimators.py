@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from conftest import make_path, random_positive_path
 from pathvol.estimators import (
     _BLOCK,
+    _increment_sums,
     EstimateResult,
     NoSolutionError,
     cir_backout,
     cir_mean,
     cir_variance,
+    estimate,
     gamma_known_sigma,
     gamma_ratio_estimate,
     integrated_sigma_sq,
@@ -278,6 +280,51 @@ def test_known_sigma_level_term_matches_python_floats_bitwise():
         for sigma in (0.3, 0.7, 2.0):
             _, _, known = reference_spread_objectives(path, grid, sigma)
             assert summary(gamma_known_sigma(path, sigma=sigma)) == reference_summary(grid, known)
+
+
+@pytest.mark.parametrize(
+    "n_increments",
+    [1, 2, 250, _BLOCK // 7 - 1, _BLOCK // 7, _BLOCK // 7 + 1, _BLOCK, _BLOCK + 1, 20_000],
+)
+def test_increment_sums_match_compute_aux_bitwise(n_increments):
+    # seven exponents straddle the block edge _BLOCK // 7 (one block, then two)
+    exponents = [0.0, 0.25, 0.5, 0.6, 0.75, 1.0, 1.0 / 3.0]
+    for seed in range(3):
+        path = random_positive_path(np.random.default_rng(seed), n_increments + 1)
+        expected = [float(np.sum(compute_aux(path, h).v)) for h in exponents]
+        assert _increment_sums(path, exponents).tolist() == expected
+        assert _increment_sums(path, exponents[:2]).tolist() == expected[:2]
+
+
+# paths whose sigma estimate overflows: in the increment sum, or in the quotient by a subnormal delta
+OVERFLOWING_SUM = [make_path([1.0, 1e200, 1.0]), make_path([5e-324, 1.0])]
+SUBNORMAL_DELTA = make_path([1.0, 2.0, 1.0], delta=1e-310)
+
+
+SIGMA_CALLS = {
+    "sigma-known-gamma": lambda path: sigma_known_gamma(path, gamma=0.5),
+    "integrated-sigma-sq": lambda path: estimate(path, "integrated-sigma-sq", gamma=0.5),
+    "integrated_sigma_sq": lambda path: integrated_sigma_sq(path, gamma=0.5),
+}
+
+
+@pytest.mark.parametrize("call", SIGMA_CALLS.values(), ids=SIGMA_CALLS.keys())
+@pytest.mark.parametrize("path", OVERFLOWING_SUM, ids=["huge-step", "subnormal-level"])
+def test_overflowing_increment_sum_raises(call, path):
+    with np.errstate(all="ignore"), pytest.raises(DegeneratePathError, match="increment sum is not finite"):
+        call(path)
+
+
+@pytest.mark.parametrize("method", ["sigma-known-gamma", "integrated-sigma-sq"])
+def test_overflowing_scale_raises(method):
+    with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
+        estimate(SUBNORMAL_DELTA, method, gamma=0.5)
+
+
+def test_zero_weight_raises_instead_of_dividing_by_zero():
+    # y**2 = 1e-600 underflows to 0, so the weight sum vanishes
+    with pytest.raises(DegeneratePathError, match="weight sum is zero"):
+        sigma_known_gamma(make_path([1.0, 1e-300]), gamma=1.0, h=0.0)
 
 
 class TestIntegratedSigmaSq:

@@ -13,6 +13,7 @@ from pathvol.estimators import (
     METHOD_JOINT_VARIANCE,
     METHOD_SIGMA_KNOWN_GAMMA,
 )
+from pathvol import experiment
 from pathvol.experiment import (
     AllTrialsFailedError,
     EstimatorSpec,
@@ -220,6 +221,27 @@ class TestTables:
         report = reproduce_table("t2", trials=2, n_steps_filter=(250,))
         assert len(report.rows) == 2
         assert all("1/250" in row.row_id for row in report.rows)
+
+    def test_filtered_rows_keep_their_seeds(self):
+        # row i runs on seeds (master_seed, i, trial) whatever the filter keeps
+        alone = reproduce_table("t2", trials=2, n_steps_filter=(250,))
+        more = reproduce_table("t2", trials=2, n_steps_filter=(250, 10000))
+        assert alone.rows == more.rows[:2]
+        # a later row alone keeps its index in the table, not its place in the report
+        later = reproduce_table("t3", trials=1, n_steps_filter=(10000,))
+        assert later.rows == reproduce_table("t3", trials=1, n_steps_filter=(250, 10000)).rows[1:]
+
+    def test_filter_builds_configs_only_for_kept_rows(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["sim"].n_steps)
+            return ExperimentConfig(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ExperimentConfig", counting)
+        monkeypatch.setattr(experiment, "EstimatorSpec", None)  # the table specs exist already
+        reproduce_table("t2", trials=1, n_steps_filter=(250,))
+        assert built == [250, 250]
 
     def test_filter_removing_everything_rejected(self):
         with pytest.raises(ValueError, match="filter"):
