@@ -24,9 +24,9 @@ kernel that computes the same values):
   sigma(s)^2 ds over the observation window (time-dependent scale).
 
 A sigma estimate that a path cannot give as a finite number (an
-increment sum or quotient that overflows, a weight sum that underflows to
-zero) raises DegeneratePathError, as does a grid search whose objective is
-not finite.
+increment sum, weight sum or quotient that overflows, a weight sum that
+underflows to zero) raises DegeneratePathError, as does a grid search
+whose objective is not finite.
 
 ``METHODS`` maps each method name to its estimator, and ``estimate(path,
 method, **params)`` is the one dispatcher that experiments and the command
@@ -73,7 +73,6 @@ __all__ = [
     "METHOD_JOINT_VARIANCE",
     "METHOD_GAMMA_KNOWN_SIGMA",
     "METHOD_INTEGRATED_SIGMA_SQ",
-    "METHOD_CIR_BACKOUT",
 ]
 
 METHOD_SIGMA_KNOWN_GAMMA = "sigma-known-gamma"
@@ -81,7 +80,6 @@ METHOD_GAMMA_RATIO = "gamma-ratio"
 METHOD_JOINT_VARIANCE = "joint-variance"
 METHOD_GAMMA_KNOWN_SIGMA = "gamma-known-sigma"
 METHOD_INTEGRATED_SIGMA_SQ = "integrated-sigma-sq"
-METHOD_CIR_BACKOUT = "cir-backout"
 
 # elements per (candidates x N) block: keeps the temporaries in cache up to N = 20 000
 _BLOCK = 1 << 14
@@ -214,11 +212,11 @@ def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _sigma_hat(total: float, weight: float) -> float:
-    """sqrt(total / weight), refusing a non-finite sum, a zero weight and a non-finite result."""
+    """sqrt(total / weight), refusing a non-finite sum or weight, a zero weight and a non-finite result."""
     if not math.isfinite(total):
         raise DegeneratePathError("increment sum is not finite")
-    if weight == 0.0:
-        raise DegeneratePathError("weight sum is zero")
+    if not 0.0 < weight < math.inf:
+        raise DegeneratePathError("weight sum is zero" if weight == 0.0 else "weight sum is not finite")
     sigma_hat = math.sqrt(total / weight)
     if not math.isfinite(sigma_hat):
         raise DegeneratePathError("scale estimate is not finite")
@@ -238,8 +236,8 @@ def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) ->
     total = float(_increment_sums(path, [h])[0])
     if total == 0.0:
         return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
-    tail = path.values[1:]
-    weight = path.delta * float(np.sum(tail ** (2.0 * (gamma - h))))
+    with np.errstate(over="ignore"):  # _sigma_hat refuses an infinite weight
+        weight = path.delta * float(np.sum(path.values[1:] ** (2.0 * (gamma - h))))
     return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, weight))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .estimators import (
     check_params,
     estimate,
 )
-from .model import ModelSpec, sample_delay_drift
+from .model import ModelSpec, _sample_delay_drift
 from .simulate import DegeneratePathError, SimConfig, euler_maruyama
 
 __all__ = [
@@ -185,10 +185,7 @@ def run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence(base + (trial,)))
         if randomized:
-            drift = sample_delay_drift(rng)
-            scale = cfg.model.oscillation_scale
-            if scale != 1.0:
-                drift = replace(drift, c=tuple(scale * ci for ci in drift.c))
+            drift = _sample_delay_drift(rng, cfg.model.oscillation_scale)
             model = ModelSpec(drift=drift, sigma=cfg.model.sigma, gamma=cfg.model.gamma)
         else:
             model = cfg.model

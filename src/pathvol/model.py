@@ -11,6 +11,7 @@ to stress-test the estimators on paths far from any parametric family.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ class AffineDrift:
 
     a: float
     b: float
+    n_terms = 0  # no delay terms (drift_source(0) renders this drift) and no delay
+    delay = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
@@ -123,24 +126,46 @@ def ckls_model(a: float, b: float, sigma: float, gamma: float) -> ModelSpec:
     return ModelSpec(drift=AffineDrift(a, b), sigma=sigma, gamma=gamma)
 
 
+# The drift as Python source, built from the term count and fixed names only;
+# drift_function and the simulator's loops compile it, constants as arguments.
+LAGGED_TERM = "al{k}*(bl{k} - x_lagged**pl{k})"
+
+
+@functools.cache
+def drift_source(n_terms: int, lagged: str = LAGGED_TERM) -> tuple[str, str]:
+    """(constant names, drift expression in x) for n_terms delay terms; 0 is affine.
+
+    The expression adds the terms left to right, from 0.0, in eval_drift's
+    order; ``lagged`` renders term k's delayed part.
+    """
+    if n_terms == 0:
+        return "a, ab", "ab - a*x"
+    names = ", ".join(f"a{k}, b{k}, p{k}, c{k}, d{k}, e{k}, al{k}, bl{k}, pl{k}" for k in range(n_terms))
+    term = " + a{k}*(b{k} - x**p{k}) + c{k}*cos(d{k}*x + e{k}) + " + lagged
+    return names, "0.0" + "".join(term.format(k=k) for k in range(n_terms))
+
+
+def drift_constants(drift: DriftKind) -> tuple[float, ...]:
+    """Values of the constant names of ``drift_source(drift.n_terms)``, in order."""
+    if isinstance(drift, AffineDrift):
+        return drift.a, drift.a * drift.b
+    terms = zip(drift.a, drift.b, [nu + 0.5 for nu in drift.nu], drift.c, drift.d, drift.e,
+                [0.1 * a for a in drift.a_hat], drift.b_hat, [nu + 0.5 for nu in drift.nu_hat])
+    return tuple(v for term in terms for v in term)
+
+
+@functools.cache
+def compile_source(source: str, name: str) -> Callable:
+    """The function ``name`` defined by generated source that may call cos."""
+    exec(source, namespace := {"cos": math.cos})
+    return namespace[name]
+
+
 def drift_function(spec: ModelSpec) -> Callable[[float, float], float]:
-    """Unchecked ``eval_drift`` as a closure over constants unpacked once."""
-    d = spec.drift
-    if isinstance(d, AffineDrift):
-        a, ab = d.a, d.a * d.b
-        return lambda x, x_lagged: ab - a * x
-    terms = tuple(zip(d.a, d.b, [nu + 0.5 for nu in d.nu], d.c, d.d, d.e,
-                      [0.1 * a for a in d.a_hat], d.b_hat, [nu + 0.5 for nu in d.nu_hat]))
-
-    def drift(x: float, x_lagged: float) -> float:
-        total = 0.0
-        for a, b, p, c, dk, e, a_lag, b_lag, p_lag in terms:
-            total += a * (b - x**p)
-            total += c * math.cos(dk * x + e)
-            total += a_lag * (b_lag - x_lagged**p_lag)
-        return total
-
-    return drift
+    """Unchecked ``eval_drift``: the compiled drift with the spec's constants bound."""
+    names, expr = drift_source(spec.drift.n_terms)
+    drift = compile_source(f"def drift({names}, x, x_lagged):\n    return {expr}\n", "drift")
+    return functools.partial(drift, *drift_constants(spec.drift))
 
 
 def eval_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
@@ -161,9 +186,15 @@ def sample_delay_drift(rng: np.random.Generator) -> DelayDriftSpec:
     [0, 0.2], and every per-term coefficient is uniform on [0, 1], all
     independent.
     """
+    return _sample_delay_drift(rng, 1.0)
+
+
+def _sample_delay_drift(rng: np.random.Generator, c_scale: float) -> DelayDriftSpec:
+    """sample_delay_drift with the cosine amplitudes c_k drawn, then multiplied by c_scale."""
     n = int(rng.integers(1, 6))
     delay = float(rng.uniform(0.0, 0.2))
     draws = rng.uniform(0.0, 1.0, size=(len(_VECTOR_FIELDS), n)).tolist()
+    draws[3] = [c_scale * c for c in draws[3]]  # the c row
     return DelayDriftSpec(*draws, delay=delay)
 
 

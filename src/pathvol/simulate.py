@@ -10,20 +10,23 @@ whole-step lag l derived from the drift's delay.  Two guards keep the path
 usable by the estimators: any nonpositive produced value is replaced by the
 previous value (counted in ``positivity_fixes``), and the simulation stops
 early the first time the retained value falls to ``stop_ratio`` times the
-starting value.  The steps run on Python floats, with the drift compiled
-once per path by ``model.drift_function``; each step computes bit for bit
-what the recursion above gives with ``eval_drift``, from the same draws.
+starting value.  The steps run on Python floats in a loop compiled once per
+drift shape (affine, or n delay terms) with ``model.drift_source`` inline, the
+same terms added in the same order as ``eval_drift``; each step computes bit
+for bit what the recursion above gives with ``eval_drift``, from the same draws.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .model import DelayDriftSpec, ModelSpec, drift_function
+from .model import LAGGED_TERM, ModelSpec, compile_source, drift_constants, drift_source
 
 __all__ = [
     "DegeneratePathError",
@@ -129,12 +132,43 @@ def sample_y0(rng: np.random.Generator, low: float = Y0_LOW, high: float = Y0_HI
 
 
 def _delay_lag(model: ModelSpec, cfg: SimConfig) -> int:
-    d = model.drift
-    if not isinstance(d, DelayDriftSpec) or d.delay == 0.0:
-        return 0
     if cfg.delay_rule == "scaled":
-        return int(math.floor(d.delay / cfg.delta))
-    return int(math.floor(d.delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1)))
+        return int(math.floor(model.drift.delay / cfg.delta))
+    return int(math.floor(model.drift.delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1)))
+
+
+# One phase of Euler steps on Python floats; {drift} is the drift at the state x.
+_PHASE = """\
+    for {items}:
+        nxt = x + ({drift}) * delta + sigma * x**gamma * sqrt_delta * xi
+        if nxt <= 0.0:
+            nxt = x
+            fixes += 1
+        values.append(nxt)
+        if nxt <= threshold:
+            return fixes
+        x = nxt
+"""
+
+
+@functools.cache
+def _step_loop(n_terms: int) -> Callable[..., int]:
+    """The Euler loop for drifts of n_terms delay terms (0: affine), compiled once.
+
+    Steps k < lag read y0 as the delayed state, so there the delayed terms are
+    the constants w<k>; later steps take values[k - lag] from the zip.
+    """
+    names, drift = drift_source(n_terms)
+    lagged = "xi, x_lagged in zip(noise[lag:], values)" if n_terms else "xi in noise[lag:]"
+    return compile_source(
+        f"def steps(noise, values, lag, delta, sigma, gamma, sqrt_delta, threshold, {names}):\n"
+        "    x = x_lagged = values[0]\n    fixes = 0\n"
+        + "".join(f"    w{k} = {LAGGED_TERM.format(k=k)}\n" for k in range(n_terms))
+        + _PHASE.format(items="xi in noise[:lag]", drift=drift_source(n_terms, "w{k}")[1])
+        + _PHASE.format(items=lagged, drift=drift)
+        + "    return fixes\n",
+        "steps",
+    )
 
 
 def euler_maruyama(
@@ -151,30 +185,17 @@ def euler_maruyama(
         rng = np.random.default_rng(cfg.seed)
     y0 = float(cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range))
     delta = cfg.delta
-    sqrt_delta = math.sqrt(delta)
-    lag = _delay_lag(model, cfg)
-    sigma = float(model.sigma)
-    gamma = float(model.gamma)
     threshold = cfg.stop_ratio * y0
-    drift = drift_function(model)
-    noise = rng.standard_normal(cfg.n_steps).tolist()
-
+    noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats, slices without a copy
     values = [y0]
-    fixes = 0
-    for k, xi in enumerate(noise):
-        prev = values[k]
-        x_lag = values[k - lag] if k >= lag else y0
-        nxt = prev + drift(prev, x_lag) * delta + sigma * prev**gamma * sqrt_delta * xi
-        if nxt <= 0.0:
-            nxt = prev
-            fixes += 1
-        values.append(nxt)
-        if nxt <= threshold:
-            break
+    fixes = _step_loop(model.drift.n_terms)(
+        noise, values, _delay_lag(model, cfg), delta, float(model.sigma), float(model.gamma),
+        math.sqrt(delta), threshold, *drift_constants(model.drift),
+    )
     return SamplePath(
         theta=cfg.theta,
         delta=delta,
-        values=np.array(values),
+        values=np.fromiter(values, float, len(values)),
         m0=0,
         stopped_early=values[-1] <= threshold,
         positivity_fixes=fixes,

@@ -208,6 +208,14 @@ class TestEstimate:
         ) == 1
         assert capsys.readouterr().err.startswith("error: weight sum is zero")
 
+    def test_infinite_weight_sum_exit_1(self, tmp_path, capsys):
+        src = write_csv(tmp_path, "huge.csv", "t,y\n0,1e160\n0.01,1.000000000000001e160\n")
+        assert run_cli(
+            "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1", "--h", "0"
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: weight sum is not finite")
+
 
 @pytest.mark.parametrize(
     "argv",

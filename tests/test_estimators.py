@@ -327,6 +327,12 @@ def test_zero_weight_raises_instead_of_dividing_by_zero():
         sigma_known_gamma(make_path([1.0, 1e-300]), gamma=1.0, h=0.0)
 
 
+def test_infinite_weight_raises_instead_of_returning_zero():
+    # y**2 = 1e320 overflows to inf, so the quotient total / weight would be 0.0
+    with pytest.raises(DegeneratePathError, match="weight sum is not finite"):
+        sigma_known_gamma(make_path([1e160, 1.000000000000001e160]), gamma=1.0, h=0.0)
+
+
 class TestIntegratedSigmaSq:
     def test_matches_series_sum(self):
         path = simulated_path(n=500, seed=11)
@@ -339,6 +345,22 @@ class TestIntegratedSigmaSq:
         assert math.sqrt(integrated_sigma_sq(path, gamma=0.6) / window) == pytest.approx(
             0.3, abs=0.01
         )
+
+    def test_estimates_integral_of_time_dependent_scale(self):
+        # Euler path of dy = (1 - y) dt + sigma(t) y**0.6 dw with sigma(t) = 0.2 + 0.2 t on
+        # [0, 1]; the integral of sigma(s)**2 is 0.04 * (2**3 - 1) / 3 = 7/75.  The sum of
+        # v_k ~ sigma(t_k)**2 * delta * xi_k**2 has standard deviation sqrt(2 delta int sigma**4),
+        # with int sigma**4 = 0.0016 * (2**5 - 1) / 5; the band is four of them (about 0.004).
+        n, gamma = 20_000, 0.6
+        delta = 1.0 / n
+        band = 4.0 * math.sqrt(2.0 * delta * 0.0016 * 31.0 / 5.0)
+        xi = np.random.default_rng(13).standard_normal(n).tolist()
+        values = [1.0]
+        for k in range(n):
+            y, sigma_t = values[-1], 0.2 + 0.2 * k * delta
+            values.append(y + (1.0 - y) * delta + sigma_t * y**gamma * math.sqrt(delta) * xi[k])
+        total = integrated_sigma_sq(make_path(values, delta=delta), gamma=gamma)
+        assert abs(total - 7.0 / 75.0) < band
 
 
 class TestCirMoments:

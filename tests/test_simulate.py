@@ -278,6 +278,55 @@ def test_guarded_steps_match_reference_recursion_bitwise():
     assert fixed.positivity_fixes > 0
 
 
+def _delay_for_lag(cfg, lag):
+    """A delay that the simulator turns into a lag of ``lag`` steps under cfg.delay_rule."""
+    if cfg.delay_rule == "scaled":
+        return (lag + 0.5) * cfg.delta
+    return (lag + 0.5) * (cfg.n_steps + 1) / (cfg.horizon - cfg.theta)
+
+
+@pytest.mark.parametrize("rule", ["scaled", "literal"])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5])
+def test_each_delay_drift_shape_matches_reference_bitwise(n_terms, rule):
+    # one compiled loop per term count: no lag, a lag inside the path, and lags
+    # of n_steps or more, where every step reads the starting value.  The coarse
+    # grid (delta = 0.1) lets a one-ulp change in the drift show in the path.
+    rng = np.random.default_rng(n_terms)
+    for lag in (0, 7, 300, 1000):
+        for gamma in (0.0, 0.5, 1.0):
+            cfg = SimConfig(n_steps=300, horizon=30.0, delay_rule=rule, seed=int(rng.integers(2**31)))
+            delay = _delay_for_lag(cfg, lag) if lag else 0.0
+            drift = DelayDriftSpec(*rng.uniform(0.0, 1.0, size=(9, n_terms)), delay=delay)
+            _assert_matches_reference(ModelSpec(drift=drift, sigma=0.5, gamma=gamma), cfg)
+
+
+@pytest.mark.parametrize("rule", ["scaled", "literal"])
+@pytest.mark.parametrize("lag", [150, 20])
+def test_early_stop_in_each_phase_matches_reference_bitwise(rule, lag):
+    # every term pulls toward zero: the path falls below 0.001 * y0 at step 69
+    # with lag 150 (still reading y0 as the delayed state) and at step 101 with lag 20
+    cfg = SimConfig(n_steps=200, y0=1.0, delay_rule=rule, seed=11)
+    drift = DelayDriftSpec(
+        a=(10.0, 0.5, 0.2), b=(0.0,) * 3, nu=(0.5, 0.2, 0.0), c=(0.0,) * 3, d=(1.0,) * 3, e=(0.0,) * 3,
+        a_hat=(1.0, 0.5, 0.3), b_hat=(0.0,) * 3, nu_hat=(0.5,) * 3, delay=_delay_for_lag(cfg, lag),
+    )
+    path = _assert_matches_reference(ModelSpec(drift=drift, sigma=0.05, gamma=0.5), cfg)
+    steps = len(path.values) - 1
+    assert path.stopped_early
+    assert (steps <= lag) if lag == 150 else (steps > lag)
+
+
+@pytest.mark.parametrize("rule", ["scaled", "literal"])
+def test_positivity_fixes_in_both_phases_match_reference_bitwise(rule):
+    cfg = SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-6, delay_rule=rule, seed=0)
+    lag = 200
+    drift = DelayDriftSpec(*np.random.default_rng(0).uniform(0.0, 1.0, size=(9, 4)), delay=_delay_for_lag(cfg, lag))
+    path = _assert_matches_reference(ModelSpec(drift=drift, sigma=20.0, gamma=0.5), cfg)
+    fixed_steps = np.flatnonzero(path.values[1:] == path.values[:-1])  # step k kept values[k]
+    assert len(fixed_steps) == path.positivity_fixes
+    assert fixed_steps.min() < lag <= fixed_steps.max()
+
+
 class TestCsv:
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(17)
