@@ -1,8 +1,9 @@
 """Command line front end: simulate paths, estimate from CSV, run tables.
 
-Exit codes: 0 success, 1 runtime failure (bad model/simulation config at
-run time, degenerate input path, failed search), 2 usage errors (bad flags
-or malformed input files).
+Exit codes: 0 success, 1 runtime failure (a simulation that fails or cannot
+be written, a degenerate input path, a failed search), 2 usage errors (bad
+flags or flag values, a model or simulation parameter that the model or
+SimConfig refuses, malformed input files).
 """
 from __future__ import annotations
 
@@ -125,27 +126,19 @@ def _build_model(args, parser: argparse.ArgumentParser, rng: np.random.Generator
 
 
 def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
-    if args.n < 2:
-        parser.error("--n must be >= 2")
-    if args.sigma is not None and args.sigma < 0:
-        parser.error("--sigma must be >= 0")
-    if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
-        parser.error("--gamma must lie in [0, 1]")
-    if args.y0 is not None and args.y0 <= 0:
-        parser.error("--y0 must be > 0")
-    if not 0.0 < args.stop_ratio < 1.0:
-        parser.error("--stop-ratio must lie in (0, 1)")
     rng = np.random.default_rng(args.seed)
     try:
-        model = _build_model(args, parser, rng)
-        y0 = args.y0  # None with --y0-random (or neither) samples uniformly
-        cfg = SimConfig(
+        cfg = SimConfig(  # y0 = None (--y0-random, or no --y0) samples it uniformly
             n_steps=args.n,
-            y0=y0,
+            y0=args.y0,
             stop_ratio=args.stop_ratio,
             seed=args.seed,
             delay_rule=args.delay_rule,
         )
+        model = _build_model(args, parser, rng)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
         path = euler_maruyama(model, cfg, rng)
         write_path_csv(path, args.out)
     except (ValueError, OSError) as exc:

@@ -191,8 +191,9 @@ def _increment_blocks(path: SamplePath, exponents: list[float]) -> Iterator[tupl
 def _increment_sums(path: SamplePath, exponents: list[float]) -> np.ndarray:
     """sum_k v[h, k] for each exponent h."""
     sums = np.empty(len(exponents))
-    for rows, v in _increment_blocks(path, exponents):
-        v.sum(axis=1, out=sums[rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite sum
+        for rows, v in _increment_blocks(path, exponents):
+            v.sum(axis=1, out=sums[rows])
     return sums
 
 
@@ -202,12 +203,13 @@ def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise DegeneratePathError("constant path: no increments to fit")
     v_bars = np.empty(grid.size)
     spreads = np.empty(grid.size)
-    for rows, v in _increment_blocks(path, grid.tolist()):
-        v_bars[rows] = v_bar = v.mean(axis=1)
-        v /= v_bar[:, None]
-        v -= 1.0
-        v *= v
-        v.sum(axis=1, out=spreads[rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # _argmin refuses a non-finite curve
+        for rows, v in _increment_blocks(path, grid.tolist()):
+            v_bars[rows] = v_bar = v.mean(axis=1)
+            v /= v_bar[:, None]
+            v -= 1.0
+            v *= v
+            v.sum(axis=1, out=spreads[rows])
     return v_bars, spreads
 
 
@@ -263,13 +265,14 @@ def gamma_ratio_estimate(
     rhs = s1 / s2
     log_tail = np.log(path.values[1:])
     sums = np.empty((2, grid.size))
-    for row_sums, h in zip(sums, (h1, h2)):
-        scale = 2.0 * (grid - h)
-        for rows in _row_blocks(grid.size, log_tail.size):
-            block = np.multiply(scale[rows, None], log_tail)
-            np.exp(block, out=block)
-            block.sum(axis=1, out=row_sums[rows])
-    objective = np.abs(sums[0] / sums[1] - rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # _argmin refuses a non-finite curve
+        for row_sums, h in zip(sums, (h1, h2)):
+            scale = 2.0 * (grid - h)
+            for rows in _row_blocks(grid.size, log_tail.size):
+                block = np.multiply(scale[rows, None], log_tail)
+                np.exp(block, out=block)
+                block.sum(axis=1, out=row_sums[rows])
+        objective = np.abs(sums[0] / sums[1] - rhs)
     best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_RATIO,

@@ -126,22 +126,18 @@ def ckls_model(a: float, b: float, sigma: float, gamma: float) -> ModelSpec:
     return ModelSpec(drift=AffineDrift(a, b), sigma=sigma, gamma=gamma)
 
 
-# The drift as Python source, built from the term count and fixed names only;
-# drift_function and the simulator's loops compile it, constants as arguments.
-LAGGED_TERM = "al{k}*(bl{k} - x_lagged**pl{k})"
-
-
 @functools.cache
-def drift_source(n_terms: int, lagged: str = LAGGED_TERM) -> tuple[str, str]:
-    """(constant names, drift expression in x) for n_terms delay terms; 0 is affine.
+def drift_source(n_terms: int) -> tuple[str, str]:
+    """(constant names, drift expression in x and x_lagged) for n_terms delay terms; 0 is affine.
 
-    The expression adds the terms left to right, from 0.0, in eval_drift's
-    order; ``lagged`` renders term k's delayed part.
+    The one source of the drift, which drift_function and the simulator's
+    loops compile with the constants as arguments: the terms are added left
+    to right, from 0.0, in eval_drift's order.
     """
     if n_terms == 0:
         return "a, ab", "ab - a*x"
     names = ", ".join(f"a{k}, b{k}, p{k}, c{k}, d{k}, e{k}, al{k}, bl{k}, pl{k}" for k in range(n_terms))
-    term = " + a{k}*(b{k} - x**p{k}) + c{k}*cos(d{k}*x + e{k}) + " + lagged
+    term = " + a{k}*(b{k} - x**p{k}) + c{k}*cos(d{k}*x + e{k}) + al{k}*(bl{k} - x_lagged**pl{k})"
     return names, "0.0" + "".join(term.format(k=k) for k in range(n_terms))
 
 

@@ -10,7 +10,9 @@ whole-step lag l derived from the drift's delay.  Two guards keep the path
 usable by the estimators: any nonpositive produced value is replaced by the
 previous value (counted in ``positivity_fixes``), and the simulation stops
 early the first time the retained value falls to ``stop_ratio`` times the
-starting value.  The steps run on Python floats in a loop compiled once per
+starting value.  The history before the start is held at the starting value:
+step k reads y(t_{k-l}) from one iterator that yields y0 l times and then the
+growing path.  The steps run on Python floats in a loop compiled once per
 drift shape (affine, or n delay terms) with ``model.drift_source`` inline, the
 same terms added in the same order as ``eval_drift``; each step computes bit
 for bit what the recursion above gives with ``eval_drift``, from the same draws.
@@ -21,12 +23,13 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .model import LAGGED_TERM, ModelSpec, compile_source, drift_constants, drift_source
+from .model import ModelSpec, compile_source, drift_constants, drift_source
 
 __all__ = [
     "DegeneratePathError",
@@ -137,8 +140,11 @@ def _delay_lag(model: ModelSpec, cfg: SimConfig) -> int:
     return int(math.floor(model.drift.delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1)))
 
 
-# One phase of Euler steps on Python floats; {drift} is the drift at the state x.
-_PHASE = """\
+# Euler steps on Python floats; {items} binds xi (and x_lagged for a delay drift).
+_LOOP = """\
+def steps(noise, delayed, values, delta, sigma, gamma, sqrt_delta, threshold, {names}):
+    x = values[0]
+    fixes = 0
     for {items}:
         nxt = x + ({drift}) * delta + sigma * x**gamma * sqrt_delta * xi
         if nxt <= 0.0:
@@ -148,6 +154,7 @@ _PHASE = """\
         if nxt <= threshold:
             return fixes
         x = nxt
+    return fixes
 """
 
 
@@ -155,20 +162,12 @@ _PHASE = """\
 def _step_loop(n_terms: int) -> Callable[..., int]:
     """The Euler loop for drifts of n_terms delay terms (0: affine), compiled once.
 
-    Steps k < lag read y0 as the delayed state, so there the delayed terms are
-    the constants w<k>; later steps take values[k - lag] from the zip.
+    A delay drift zips the noise with ``delayed``, the delayed state of each
+    step in order; the affine drift iterates the noise alone.
     """
     names, drift = drift_source(n_terms)
-    lagged = "xi, x_lagged in zip(noise[lag:], values)" if n_terms else "xi in noise[lag:]"
-    return compile_source(
-        f"def steps(noise, values, lag, delta, sigma, gamma, sqrt_delta, threshold, {names}):\n"
-        "    x = x_lagged = values[0]\n    fixes = 0\n"
-        + "".join(f"    w{k} = {LAGGED_TERM.format(k=k)}\n" for k in range(n_terms))
-        + _PHASE.format(items="xi in noise[:lag]", drift=drift_source(n_terms, "w{k}")[1])
-        + _PHASE.format(items=lagged, drift=drift)
-        + "    return fixes\n",
-        "steps",
-    )
+    items = "xi, x_lagged in zip(noise, delayed)" if n_terms else "xi in noise"
+    return compile_source(_LOOP.format(names=names, items=items, drift=drift), "steps")
 
 
 def euler_maruyama(
@@ -186,10 +185,12 @@ def euler_maruyama(
     y0 = float(cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range))
     delta = cfg.delta
     threshold = cfg.stop_ratio * y0
-    noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats, slices without a copy
+    noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats
     values = [y0]
+    # the delayed state of step k: y0 while k < lag, then values[k - lag]
+    delayed = chain(repeat(y0, _delay_lag(model, cfg)), values)
     fixes = _step_loop(model.drift.n_terms)(
-        noise, values, _delay_lag(model, cfg), delta, float(model.sigma), float(model.gamma),
+        noise, delayed, values, delta, float(model.sigma), float(model.gamma),
         math.sqrt(delta), threshold, *drift_constants(model.drift),
     )
     return SamplePath(
@@ -228,7 +229,7 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
     else:
         with open(src, "r", encoding="ascii") as fh:
             text = fh.read()
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise CsvFormatError("line 1: empty file, expected header 't,y'")
     header = lines[0].strip()
@@ -259,8 +260,7 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
     delta = times[1] - times[0]
     if delta <= 0:
         raise CsvFormatError("line 3: time column must be strictly increasing")
-    steps = np.diff(times)
-    if np.any(np.abs(steps - delta) > 1e-9 * max(abs(delta), 1.0)):
-        bad = int(np.argmax(np.abs(steps - delta) > 1e-9 * max(abs(delta), 1.0)))
-        raise CsvFormatError(f"line {bad + 3}: time grid is not uniform")
+    off_grid = np.abs(np.diff(times) - delta) > 1e-9 * max(abs(delta), 1.0)
+    if off_grid.any():
+        raise CsvFormatError(f"line {int(np.argmax(off_grid)) + 3}: time grid is not uniform")
     return SamplePath(theta=times[0], delta=float(delta), values=np.array(values))

@@ -1,6 +1,8 @@
 """End-to-end command line tests driven through cli.main(argv)."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,12 @@ class TestSimulate:
              "--n", "10", "--out", "x.csv"),  # ckls without gamma
             ("simulate", "--model", "cir", "--sigma", "0.3", "--n", "10", "--out", "x.csv"),
             ("simulate", "--n", "10", "--out", "x.csv"),  # neither model nor config
+            ("simulate", "--model", "cir", "--a", "-1", "--b", "1", "--sigma", "0.3",
+             "--y0", "1", "--n", "10", "--out", "x.csv"),
+            ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "nan",
+             "--y0", "1", "--n", "10", "--out", "x.csv"),
+            ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
+             "--y0", "nan", "--n", "10", "--out", "x.csv"),
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -215,6 +223,14 @@ class TestEstimate:
         ) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: weight sum is not finite")
+
+    def test_overflowing_path_prints_one_error_line(self, tmp_path, capsys):
+        src = write_csv(tmp_path, "spike.csv", "t,y\n0,1\n0.5,1e200\n1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would print before the error
+            code = run_cli("estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "0.5")
+        assert code == 1
+        assert capsys.readouterr().err == "error: increment sum is not finite\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import make_path, random_positive_path
 from pathvol.estimators import (
     _BLOCK,
     _increment_sums,
+    METHODS,
     EstimateResult,
     NoSolutionError,
     cir_backout,
@@ -319,6 +321,16 @@ def test_overflowing_increment_sum_raises(call, path):
 def test_overflowing_scale_raises(method):
     with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
         estimate(SUBNORMAL_DELTA, method, gamma=0.5)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_overflowing_path_raises_without_numpy_warnings(method):
+    # (dy / y**h)**2 overflows at the 1e200 step: each method names the error, and no
+    # RuntimeWarning comes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePathError):
+            estimate(OVERFLOWING_SUM[0], method, gamma=0.5, sigma=1.0)
 
 
 def test_zero_weight_raises_instead_of_dividing_by_zero():

@@ -288,11 +288,12 @@ def _delay_for_lag(cfg, lag):
 @pytest.mark.parametrize("rule", ["scaled", "literal"])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5])
 def test_each_delay_drift_shape_matches_reference_bitwise(n_terms, rule):
-    # one compiled loop per term count: no lag, a lag inside the path, and lags
-    # of n_steps or more, where every step reads the starting value.  The coarse
-    # grid (delta = 0.1) lets a one-ulp change in the drift show in the path.
+    # one compiled loop per term count: no lag, a lag inside the path, lags of
+    # n_steps or more, where every step reads the starting value, and the edges
+    # 1 and n_steps - 1 (last, so the earlier cases keep their draws).  The
+    # coarse grid (delta = 0.1) lets a one-ulp change in the drift show in the path.
     rng = np.random.default_rng(n_terms)
-    for lag in (0, 7, 300, 1000):
+    for lag in (0, 7, 300, 1000, 1, 299):
         for gamma in (0.0, 0.5, 1.0):
             cfg = SimConfig(n_steps=300, horizon=30.0, delay_rule=rule, seed=int(rng.integers(2**31)))
             delay = _delay_for_lag(cfg, lag) if lag else 0.0
