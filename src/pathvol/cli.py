@@ -71,6 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--h2", type=float, help="second exponent (gamma-ratio, default 1)")
     est.add_argument("--grid-n", type=int, help="search grid size (default 300 ratio, 30 others)")
     est.add_argument("--sigma", type=float, help="known sigma (gamma-known-sigma)")
+    est.add_argument(
+        "--search-range",
+        nargs=2,
+        type=float,
+        metavar=("LO", "HI"),
+        help="scan candidates in (LO, HI] instead of (0, 1] (the three grid searches)",
+    )
     est.add_argument("--curve", type=Path, help="write the objective curve CSV here")
     est.set_defaults(func=cmd_estimate, parser=est)
 
@@ -161,6 +168,8 @@ def _write_curve(result: EstimateResult, dest: Path) -> None:
 def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     method = _METHOD_ALIASES.get(args.method, args.method)
     params = {name: getattr(args, name) for name in ("gamma", "h", "h1", "h2", "grid_n", "sigma")}
+    if args.search_range is not None:
+        params["search_range"] = tuple(args.search_range)
     try:
         check_params(method, **params)
     except ValueError as exc:

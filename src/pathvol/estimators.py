@@ -26,7 +26,8 @@ kernel that computes the same values):
 A sigma estimate that a path cannot give as a finite number (an
 increment sum, weight sum or quotient that overflows, a weight sum that
 underflows to zero) raises DegeneratePathError, as does a grid search
-whose objective is not finite.
+whose objective is not finite, and gamma_known_sigma when delta * sigma**2
+is 0 or inf.
 
 ``METHODS`` maps each method name to its estimator, and ``estimate(path,
 method, **params)`` is the one dispatcher that experiments and the command
@@ -36,9 +37,14 @@ Grid searches scan h in {1/grid_n, 2/grid_n, ..., 1} by default; ties
 resolve to the smallest candidate.  A ``search_range`` (lo, hi) narrows the
 scan to {lo + (hi-lo)*k/grid_n}, e.g. (0.5, 1.0) restricts the power index
 to the positivity-preserving half of the unit interval, the range on which
-square-root (0.5) through linear (1.0) diffusion scalings live.  Each
-search evaluates its candidates together in (candidates x N) blocks, and its
-objective curve is bit for bit that of the per-candidate formulas above.
+square-root (0.5) through linear (1.0) diffusion scalings live.
+joint_estimate and gamma_known_sigma evaluate their candidates together in
+(candidates x N) blocks, and their objective curves are bit for bit those of
+the per-candidate formulas above.  gamma_ratio_estimate takes its power sums
+from an exact split of the equally spaced exponents (``_power_sums``): one
+small matrix product of shifted exponentials, which cannot overflow.  Its
+curve is not bit for bit that of one exp per candidate, but agrees with it
+to 1e-12 of the larger of its two terms.
 A separate helper backs the CIR parameters (a, b) out of a first and second
 moment of y(T).
 """
@@ -83,6 +89,9 @@ METHOD_INTEGRATED_SIGMA_SQ = "integrated-sigma-sq"
 
 # elements per (candidates x N) block: keeps the temporaries in cache up to N = 20 000
 _BLOCK = 1 << 14
+# e-folds by which the split shifts of _power_sums may exceed a sum's own largest term:
+# far from the subnormal range (about 708), so each sum keeps full precision
+_SHIFT_GAP = 300.0
 
 
 class NoSolutionError(RuntimeError):
@@ -213,6 +222,47 @@ def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return v_bars, spreads
 
 
+def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, shifts) with sum_k exp(s * log_y[k]) = sums * exp(shifts) for each exponent s in ``scales``.
+
+    ``scales`` is (probes x candidates), every row equally spaced with one
+    common step.  Each exponent is split exactly as s = c + f: the coarse c
+    is every width-th candidate of its row, the fine offset f = w * step
+    (w < width) is shared by all rows.  So exp(s * l) = exp(c * l) * exp(f * l),
+    and the sums over k are one (coarse rows x N) @ (N x width) product,
+    taken in column chunks that keep each factor at most _BLOCK elements.
+    Each factor is shifted by its largest exponent over the path, which s * l
+    (linear in l) takes at min(log_y) or max(log_y): no term exceeds 1 and no
+    sum overflows.  The shifts of c and f together may exceed that of s by
+    (width - 1) * step * (max - min of log_y); width is cut so this stays
+    within _SHIFT_GAP and no sum underflows.
+    """
+    probes, count = scales.shape
+    step = (scales[0, -1] - scales[0, 0]) / (count - 1)
+    lo, hi = float(log_y.min()), float(log_y.max())
+    spread = step * (hi - lo)
+    width = math.isqrt(count)
+    if (width - 1) * spread > _SHIFT_GAP:
+        width = 1 + int(_SHIFT_GAP / spread)
+    coarse = scales[:, ::width].ravel()
+    fine = step * np.arange(width)
+    coarse_shift = np.maximum(coarse * lo, coarse * hi)
+    fine_shift = np.maximum(fine * lo, fine * hi)
+    acc = np.zeros((coarse.size, width))
+    cols = max(1, _BLOCK // coarse.size)
+    for start in range(0, log_y.size, cols):
+        chunk = log_y[start : start + cols]
+        a = np.multiply.outer(coarse, chunk)
+        a -= coarse_shift[:, None]
+        np.exp(a, out=a)
+        b = np.multiply.outer(chunk, fine)
+        b -= fine_shift
+        np.exp(b, out=b)
+        acc += a @ b
+    shifts = coarse_shift[:, None] + fine_shift
+    return acc.reshape(probes, -1)[:, :count], shifts.reshape(probes, -1)[:, :count]
+
+
 def _sigma_hat(total: float, weight: float) -> float:
     """sqrt(total / weight), refusing a non-finite sum or weight, a zero weight and a non-finite result."""
     if not math.isfinite(total):
@@ -263,16 +313,10 @@ def gamma_ratio_estimate(
     if s1 == 0.0 or s2 == 0.0:
         raise DegeneratePathError("constant path: increment sums vanish")
     rhs = s1 / s2
-    log_tail = np.log(path.values[1:])
-    sums = np.empty((2, grid.size))
+    scales = 2.0 * (grid - np.array([[h1], [h2]]))
     with np.errstate(over="ignore", invalid="ignore"):  # _argmin refuses a non-finite curve
-        for row_sums, h in zip(sums, (h1, h2)):
-            scale = 2.0 * (grid - h)
-            for rows in _row_blocks(grid.size, log_tail.size):
-                block = np.multiply(scale[rows, None], log_tail)
-                np.exp(block, out=block)
-                block.sum(axis=1, out=row_sums[rows])
-        objective = np.abs(sums[0] / sums[1] - rhs)
+        sums, shifts = _power_sums(np.log(path.values[1:]), scales)
+        objective = np.abs(sums[0] / sums[1] * np.exp(shifts[0] - shifts[1]) - rhs)
     best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_RATIO,
@@ -335,10 +379,15 @@ def gamma_known_sigma(
     grid = _grid(grid_n, search_range)
     v_bars, spreads = _spread(path, grid)
     level_target = path.delta * sigma * sigma
+    if not 0.0 < level_target < math.inf:
+        raise DegeneratePathError(f"level target delta * sigma**2 is {level_target:g}")
     m = path.values.size - 1
     # the level term on Python floats: numpy's square is not bitwise CPython's ** 2
     pairs = zip(v_bars.tolist(), spreads.tolist())
-    objective = np.array([s + m * (v / level_target - 1.0) ** 2 for v, s in pairs])
+    try:
+        objective = np.array([s + m * (v / level_target - 1.0) ** 2 for v, s in pairs])
+    except OverflowError:  # float ** 2 raises where numpy would give inf
+        raise DegeneratePathError("level term is not finite") from None
     best = _argmin(grid, objective)
     return EstimateResult(
         method=METHOD_GAMMA_KNOWN_SIGMA,

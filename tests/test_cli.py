@@ -201,6 +201,9 @@ class TestEstimate:
             ("estimate", "--in", "x.csv", "--method", "joint", "--grid-n", "1"),
             ("estimate", "--in", "x.csv", "--method", "sigma-known-gamma", "--gamma", "2"),
             ("estimate", "--in", "x.csv", "--method", "gamma-known-sigma", "--sigma", "0"),
+            ("estimate", "--in", "x.csv", "--method", "joint", "--search-range", "1", "0.5"),
+            ("estimate", "--in", "x.csv", "--method", "gamma-ratio", "--search-range", "0.5", "1.5"),
+            ("estimate", "--in", "x.csv", "--method", "joint", "--search-range", "0.5"),
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -223,6 +226,14 @@ class TestEstimate:
         ) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: weight sum is not finite")
+
+    @pytest.mark.parametrize("sigma", ["1e-100", "1e-200"])
+    def test_level_term_out_of_float_range_exit_1(self, tmp_path, capsys, sigma):
+        # (v_bar / (delta * sigma**2) - 1) ** 2 overflows, or delta * sigma**2 underflows to 0
+        src = write_csv(tmp_path, "four.csv", "t,y\n0,1\n0.01,1.1\n0.02,1.05\n0.03,1.2\n")
+        assert run_cli("estimate", "--in", str(src), "--method", "gamma-known-sigma", "--sigma", sigma) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_overflowing_path_prints_one_error_line(self, tmp_path, capsys):
         src = write_csv(tmp_path, "spike.csv", "t,y\n0,1\n0.5,1e200\n1,1\n")

@@ -13,6 +13,7 @@ from conftest import make_path, random_positive_path
 from pathvol.estimators import (
     _BLOCK,
     _increment_sums,
+    _power_sums,
     METHODS,
     EstimateResult,
     NoSolutionError,
@@ -181,6 +182,15 @@ class TestGammaKnownSigma:
         rms = lambda e: float(np.sqrt(np.mean(np.square(e))))
         assert rms(known_errs) <= rms(joint_errs) * 1.05
 
+    @pytest.mark.parametrize(
+        "sigma, match",
+        [(1e-100, "level term is not finite"), (1e-200, "sigma\\*\\*2 is 0"), (1e200, "sigma\\*\\*2 is inf")],
+    )
+    def test_level_term_out_of_float_range_raises(self, sigma, match):
+        # (v_bar / (delta * sigma**2) - 1) ** 2 overflows, or delta * sigma**2 underflows to 0 or overflows
+        with pytest.raises(DegeneratePathError, match=match):
+            gamma_known_sigma(make_path([1.0, 1.1, 1.05, 1.2], delta=0.01), sigma=sigma)
+
     def test_requires_positive_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             gamma_known_sigma(make_path([1.0, 2.0]), sigma=0.0)
@@ -204,8 +214,9 @@ def test_joint_estimate_raises_on_nonfinite_scale():
         joint_estimate(make_path([1.0, 2.0, 1.0], delta=1e-310))
 
 
-# The grid searches written plainly, one candidate h per loop iteration; the
-# block evaluation in pathvol.estimators must reproduce them bit for bit.
+# The grid searches written plainly, one candidate h per loop iteration.  The
+# block evaluation of joint_estimate and gamma_known_sigma must reproduce them
+# bit for bit; gamma_ratio_estimate's split power sums agree to 1e-12 relative.
 
 
 def reference_grid(grid_n, search_range):
@@ -222,6 +233,14 @@ def reference_ratio_objective(path, grid, h1=0.0, h2=1.0):
         den = float(np.sum(np.exp((2.0 * (g - h2)) * log_tail)))
         objective[i] = abs(num / den - rhs)
     return objective
+
+
+def reference_power_ratio(path, grid, h1=0.0, h2=1.0):
+    """sum y**(2*(g-h1)) / sum y**(2*(g-h2)) per candidate g, the ratio term of the objective."""
+    log_tail = np.log(path.values[1:])
+    num = [float(np.sum(np.exp((2.0 * (g - h1)) * log_tail))) for g in grid]
+    den = [float(np.sum(np.exp((2.0 * (g - h2)) * log_tail))) for g in grid]
+    return np.array(num) / np.array(den)
 
 
 def reference_spread_objectives(path, grid, sigma):
@@ -261,16 +280,73 @@ def test_grid_searches_match_per_candidate_loops_bitwise(n_increments, search_ra
     paths = [random_positive_path(np.random.default_rng(seed), n_increments + 1) for seed in range(3)]
     if n_increments > 1:
         paths.append(simulated_path(n=n_increments, seed=21, gamma=0.5, sigma=0.8))
-    ratio_grid, spread_grid = reference_grid(300, search_range), reference_grid(30, search_range)
+    spread_grid = reference_grid(30, search_range)
     for path in paths:
-        expected = reference_summary(ratio_grid, reference_ratio_objective(path, ratio_grid))
-        assert summary(gamma_ratio_estimate(path, search_range=search_range)) == expected
         v_bars, joint, known = reference_spread_objectives(path, spread_grid, sigma=0.7)
         best = int(np.argmin(joint))
         expected = reference_summary(spread_grid, joint, math.sqrt(v_bars[best] / path.delta))
         assert summary(joint_estimate(path, search_range=search_range)) == expected
         expected = reference_summary(spread_grid, known)
         assert summary(gamma_known_sigma(path, sigma=0.7, search_range=search_range)) == expected
+
+
+@pytest.mark.parametrize("probes", [(0.0, 1.0), (0.25, 0.75)], ids=["h=0,1", "h=.25,.75"])
+@pytest.mark.parametrize("search_range", [(0.0, 1.0), (0.5, 1.0)], ids=["default", "upper-half"])
+@pytest.mark.parametrize(
+    "n_increments",
+    [1, 250, 1001, _BLOCK + 3617],
+    ids=["N=2", "N=250", "ragged-blocks", "one-row-blocks"],
+)
+def test_ratio_search_matches_per_candidate_loop(n_increments, search_range, probes):
+    # the split power sums round differently from one exp per candidate: each objective value
+    # agrees to 1e-12 of the larger of its two terms, and the argmin does not move
+    h1, h2 = probes
+    paths = [random_positive_path(np.random.default_rng(seed), n_increments + 1) for seed in range(3)]
+    if n_increments > 1:
+        paths.append(simulated_path(n=n_increments, seed=21, gamma=0.5, sigma=0.8))
+    grid = reference_grid(300, search_range)
+    for path in paths:
+        result = gamma_ratio_estimate(path, h1=h1, h2=h2, search_range=search_range)
+        expected = reference_ratio_objective(path, grid, h1, h2)
+        rhs = float(np.sum(compute_aux(path, h1).v)) / float(np.sum(compute_aux(path, h2).v))
+        scale = np.maximum(reference_power_ratio(path, grid, h1, h2), rhs)
+        candidates, objective = map(np.array, zip(*result.objective_curve))
+        assert candidates.tolist() == grid.tolist()
+        assert np.all(np.abs(objective - expected) <= 1e-12 * scale)
+        assert result.objective_min == objective.min()
+        if n_increments > 1:  # at N = 2 the curve is constant in g and its argmin is rounding noise
+            assert result.gamma_hat == float(grid[int(np.argmin(expected))])
+
+
+def test_power_sums_scale_exactly_and_cannot_overflow():
+    # log y + log c scales every sum by c**s, so S1/S2 by c**(2*(h2-h1)) = c at (h1, h2) = (0.25, 0.75)
+    c = 1e200
+    log_y = math.log(1e10) + np.cumsum(np.random.default_rng(0).normal(0.0, 1e-5, 1000))
+    scales = 2.0 * (reference_grid(300, (0.0, 1.0)) - np.array([[0.25], [0.75]]))
+
+    def ratio(log_y):
+        sums, shifts = _power_sums(log_y, scales)
+        assert np.all((sums > 0.0) & (sums <= log_y.size))
+        return sums[0] / sums[1] * np.exp(shifts[0] - shifts[1])
+
+    np.testing.assert_allclose(ratio(log_y + math.log(c)), c * ratio(log_y), rtol=1e-12, atol=0.0)
+    # near 1e210, y**1.5 overflows: one exp per candidate gives a non-finite objective
+    result = gamma_ratio_estimate(make_path(c * np.exp(log_y)), h1=0.25, h2=0.75)
+    assert math.isfinite(result.gamma_hat) and math.isfinite(result.objective_min)
+
+
+@pytest.mark.parametrize("grid_n", [4, 9, 300])
+def test_power_sums_match_max_shifted_sums_across_the_float_range(grid_n):
+    # log y spans about 1 400 e-folds: the split shifts could exceed a sum's largest term by
+    # about 700 at grid_n = 4, into the subnormal range, unless the split is narrowed
+    log_y = np.log([1e308, 1e-300, 1e-316, 3.0, 1e200])
+    scales = 2.0 * (reference_grid(grid_n, (0.0, 1.0)) - np.array([[0.9], [1.0]]))
+    sums, shifts = _power_sums(log_y, scales)
+    for row_sums, row_shifts, row_scales in zip(sums, shifts, scales):
+        for total, shift, s in zip(row_sums, row_shifts, row_scales):
+            top = max(s * log_y.min(), s * log_y.max())
+            expected = float(np.sum(np.exp(s * log_y - top)))
+            assert total * math.exp(shift - top) == pytest.approx(expected, rel=1e-12)
 
 
 def test_known_sigma_level_term_matches_python_floats_bitwise():
@@ -445,3 +521,23 @@ def test_known_power_scale_estimate_is_finite_and_positive(sigma, gamma, seed):
     if not result.degenerate:
         assert result.sigma_hat > 0
         assert math.isfinite(result.sigma_hat)
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(positive_floats, min_size=2, max_size=8).filter(lambda v: len(set(v)) >= 2),
+    sigma=st.floats(-250.0, 250.0).map(lambda e: 10.0**e),
+    gamma=st.floats(0.0, 1.0),
+    method=st.sampled_from(sorted(METHODS)),
+)
+def test_every_method_gives_finite_values_or_a_named_error(values, sigma, gamma, method):
+    try:
+        result = estimate(make_path(values), method, gamma=gamma, sigma=sigma)
+    except (DegeneratePathError, NoSolutionError):
+        return
+    curve = [objective for _, objective in result.objective_curve or ()]
+    numbers = [result.gamma_hat, result.sigma_hat, result.objective_min, *curve]
+    assert all(math.isfinite(x) for x in numbers if x is not None)

@@ -68,6 +68,10 @@ CLI_CASES = [
     ("gamma-known-sigma", ["--sigma", "0.3"], {"sigma": 0.3}),
     ("integrated-sigma-sq", ["--gamma", "0.6"], {"gamma": 0.6}),
     ("integrated", ["--gamma", "0.6"], {"gamma": 0.6}),
+    # the t2/t3 searches over the upper half of the unit interval
+    ("gamma-ratio", ["--search-range", "0.5", "1"], {"search_range": NARROW}),
+    ("joint", ["--search-range", "0.5", "1"], {"search_range": NARROW}),
+    ("gamma-known-sigma", ["--sigma", "0.3", "--search-range", "0.5", "1"], {"sigma": 0.3, "search_range": NARROW}),
 ]
 ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA_SQ}
 
