@@ -1,9 +1,9 @@
 """Command line front end: simulate paths, estimate from CSV, run tables.
 
 Exit codes: 0 success, 1 runtime failure (a simulation that fails or cannot
-be written, a degenerate input path, a failed search), 2 usage errors (bad
-flags or flag values, a model or simulation parameter that the model or
-SimConfig refuses, malformed input files).
+be written, a degenerate input path), 2 usage errors (bad flags or flag
+values, a model or simulation parameter that the model or SimConfig
+refuses, malformed input files).
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .estimators import (
     METHOD_JOINT_VARIANCE,
     METHODS,
     EstimateResult,
-    NoSolutionError,
     check_params,
     estimate,
 )
@@ -186,7 +185,7 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 
     try:
         result = estimate(path, method, **params)
-    except (ValueError, NoSolutionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,7 +56,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .simulate import DegeneratePathError, SamplePath
 
@@ -162,19 +161,6 @@ def _grid(grid_n: int, search_range: tuple[float, float]) -> np.ndarray:
     return lo + (hi - lo) * np.arange(1, grid_n + 1) / grid_n
 
 
-def _argmin(grid: np.ndarray, objective: np.ndarray) -> int:
-    """Index of the smallest objective value, refusing a non-finite curve."""
-    bad = ~np.isfinite(objective)
-    if bad.any():
-        candidate = float(grid[int(np.argmax(bad))])
-        raise DegeneratePathError(f"objective is not finite at candidate {candidate:.17g}")
-    return int(np.argmin(objective))
-
-
-def _curve(grid: np.ndarray, objective: np.ndarray) -> tuple[tuple[float, float], ...]:
-    return tuple(zip(grid.tolist(), objective.tolist()))
-
-
 def _row_blocks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each of about _BLOCK // n rows (at least one)."""
     step = max(1, _BLOCK // n)
@@ -212,7 +198,8 @@ def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise DegeneratePathError("constant path: no increments to fit")
     v_bars = np.empty(grid.size)
     spreads = np.empty(grid.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # _argmin refuses a non-finite curve
+    # a v_bar that underflows to 0 divides; _search_result refuses the non-finite curve
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for rows, v in _increment_blocks(path, grid.tolist()):
             v_bars[rows] = v_bar = v.mean(axis=1)
             v /= v_bar[:, None]
@@ -249,9 +236,8 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
     coarse_shift = np.maximum(coarse * lo, coarse * hi)
     fine_shift = np.maximum(fine * lo, fine * hi)
     acc = np.zeros((coarse.size, width))
-    cols = max(1, _BLOCK // coarse.size)
-    for start in range(0, log_y.size, cols):
-        chunk = log_y[start : start + cols]
+    for cols in _row_blocks(log_y.size, coarse.size):
+        chunk = log_y[cols]
         a = np.multiply.outer(coarse, chunk)
         a -= coarse_shift[:, None]
         np.exp(a, out=a)
@@ -273,6 +259,32 @@ def _sigma_hat(total: float, weight: float) -> float:
     if not math.isfinite(sigma_hat):
         raise DegeneratePathError("scale estimate is not finite")
     return sigma_hat
+
+
+def _search_result(
+    method: str,
+    grid: np.ndarray,
+    objective: np.ndarray,
+    v_bars: np.ndarray | None = None,
+    delta: float | None = None,
+) -> EstimateResult:
+    """A grid search's result at the first smallest objective, refusing a non-finite curve.
+
+    With ``v_bars`` (the per-candidate means of v), sigma_hat = sqrt(v_bars[best] / delta).
+    """
+    bad = ~np.isfinite(objective)
+    if bad.any():
+        candidate = float(grid[int(np.argmax(bad))])
+        raise DegeneratePathError(f"objective is not finite at candidate {candidate:.17g}")
+    best = int(np.argmin(objective))
+    return EstimateResult(
+        method=method,
+        gamma_hat=float(grid[best]),
+        sigma_hat=None if v_bars is None else _sigma_hat(float(v_bars[best]), delta),
+        grid_n=grid.size,
+        objective_min=float(objective[best]),
+        objective_curve=tuple(zip(grid.tolist(), objective.tolist())),
+    )
 
 
 def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) -> EstimateResult:
@@ -314,17 +326,10 @@ def gamma_ratio_estimate(
         raise DegeneratePathError("constant path: increment sums vanish")
     rhs = s1 / s2
     scales = 2.0 * (grid - np.array([[h1], [h2]]))
-    with np.errstate(over="ignore", invalid="ignore"):  # _argmin refuses a non-finite curve
+    with np.errstate(over="ignore", invalid="ignore"):  # _search_result refuses a non-finite curve
         sums, shifts = _power_sums(np.log(path.values[1:]), scales)
         objective = np.abs(sums[0] / sums[1] * np.exp(shifts[0] - shifts[1]) - rhs)
-    best = _argmin(grid, objective)
-    return EstimateResult(
-        method=METHOD_GAMMA_RATIO,
-        gamma_hat=float(grid[best]),
-        grid_n=grid_n,
-        objective_min=float(objective[best]),
-        objective_curve=_curve(grid, objective),
-    )
+    return _search_result(METHOD_GAMMA_RATIO, grid, objective)
 
 
 def joint_estimate(
@@ -344,15 +349,7 @@ def joint_estimate(
     _check(grid_n=grid_n, search_range=search_range)
     grid = _grid(grid_n, search_range)
     v_bars, objective = _spread(path, grid)
-    best = _argmin(grid, objective)
-    return EstimateResult(
-        method=METHOD_JOINT_VARIANCE,
-        gamma_hat=float(grid[best]),
-        sigma_hat=_sigma_hat(float(v_bars[best]), path.delta),
-        grid_n=grid_n,
-        objective_min=float(objective[best]),
-        objective_curve=_curve(grid, objective),
-    )
+    return _search_result(METHOD_JOINT_VARIANCE, grid, objective, v_bars, path.delta)
 
 
 def gamma_known_sigma(
@@ -388,14 +385,7 @@ def gamma_known_sigma(
         objective = np.array([s + m * (v / level_target - 1.0) ** 2 for v, s in pairs])
     except OverflowError:  # float ** 2 raises where numpy would give inf
         raise DegeneratePathError("level term is not finite") from None
-    best = _argmin(grid, objective)
-    return EstimateResult(
-        method=METHOD_GAMMA_KNOWN_SIGMA,
-        gamma_hat=float(grid[best]),
-        grid_n=grid_n,
-        objective_min=float(objective[best]),
-        objective_curve=_curve(grid, objective),
-    )
+    return _search_result(METHOD_GAMMA_KNOWN_SIGMA, grid, objective)
 
 
 def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
@@ -524,6 +514,9 @@ def cir_backout(
     carrying the sampled residual curve, if the variance residual does not
     change sign on the bracket.
     """
+    # imported here: scipy.optimize is most of the import time of the package, and nothing else uses it
+    from scipy.optimize import brentq
+
     if not (sigma > 0 and y0 > 0 and horizon > 0 and var_t > 0):
         raise ValueError("sigma, y0, horizon and var_t must all be > 0")
     lo, hi = a_bracket

@@ -24,7 +24,6 @@ __all__ = [
     "ModelSpec",
     "cir_model",
     "ckls_model",
-    "drift_function",
     "eval_drift",
     "sample_delay_drift",
     "format_model_config",
@@ -130,7 +129,7 @@ def ckls_model(a: float, b: float, sigma: float, gamma: float) -> ModelSpec:
 def drift_source(n_terms: int) -> tuple[str, str]:
     """(constant names, drift expression in x and x_lagged) for n_terms delay terms; 0 is affine.
 
-    The one source of the drift, which drift_function and the simulator's
+    The one source of the drift, which eval_drift and the simulator's
     loops compile with the constants as arguments: the terms are added left
     to right, from 0.0, in eval_drift's order.
     """
@@ -157,13 +156,6 @@ def compile_source(source: str, name: str) -> Callable:
     return namespace[name]
 
 
-def drift_function(spec: ModelSpec) -> Callable[[float, float], float]:
-    """Unchecked ``eval_drift``: the compiled drift with the spec's constants bound."""
-    names, expr = drift_source(spec.drift.n_terms)
-    drift = compile_source(f"def drift({names}, x, x_lagged):\n    return {expr}\n", "drift")
-    return functools.partial(drift, *drift_constants(spec.drift))
-
-
 def eval_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
     """Drift value at state x; x_lagged feeds the delayed terms only.
 
@@ -172,21 +164,19 @@ def eval_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
     """
     if x <= 0.0 or x_lagged <= 0.0:
         raise ValueError("drift is defined for positive states only")
-    return drift_function(spec)(x, x_lagged)
+    names, expr = drift_source(spec.drift.n_terms)
+    drift = compile_source(f"def drift({names}, x, x_lagged):\n    return {expr}\n", "drift")
+    return drift(*drift_constants(spec.drift), x, x_lagged)
 
 
-def sample_delay_drift(rng: np.random.Generator) -> DelayDriftSpec:
+def sample_delay_drift(rng: np.random.Generator, c_scale: float = 1.0) -> DelayDriftSpec:
     """Draw a randomized delay drift for Monte-Carlo experiments.
 
     The number of terms is uniform on {1, ..., 5}, the delay is uniform on
     [0, 0.2], and every per-term coefficient is uniform on [0, 1], all
-    independent.
+    independent.  The cosine amplitudes c_k are drawn, then multiplied by
+    ``c_scale``; the draws do not depend on it.
     """
-    return _sample_delay_drift(rng, 1.0)
-
-
-def _sample_delay_drift(rng: np.random.Generator, c_scale: float) -> DelayDriftSpec:
-    """sample_delay_drift with the cosine amplitudes c_k drawn, then multiplied by c_scale."""
     n = int(rng.integers(1, 6))
     delay = float(rng.uniform(0.0, 0.2))
     draws = rng.uniform(0.0, 1.0, size=(len(_VECTOR_FIELDS), n)).tolist()

@@ -243,6 +243,20 @@ class TestEstimate:
         assert code == 1
         assert capsys.readouterr().err == "error: increment sum is not finite\n"
 
+    @pytest.mark.parametrize(
+        "method", [("joint-variance",), ("gamma-known-sigma", "--sigma", "0.3")], ids=lambda m: m[0]
+    )
+    def test_underflowing_mean_prints_one_error_line(self, tmp_path, capsys, method):
+        # the mean of v[h] underflows to 0 while one v[h, k] is a subnormal
+        rows = "0,1e-292\n0.01,1e-292\n0.02,1e-292\n0.03,1.0000000000000003e-292\n"
+        src = write_csv(tmp_path, "tiny.csv", "t,y\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("estimate", "--in", str(src), "--method", *method)
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: objective is not finite at candidate 0.033333333333333333\n"
+
 
 @pytest.mark.parametrize(
     "argv",

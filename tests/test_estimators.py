@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_path, random_positive_path
+import pathvol
 from pathvol.estimators import (
     _BLOCK,
     _increment_sums,
@@ -409,6 +414,22 @@ def test_overflowing_path_raises_without_numpy_warnings(method):
             estimate(OVERFLOWING_SUM[0], method, gamma=0.5, sigma=1.0)
 
 
+# v_bar[h] underflows to 0 at small h while the last increment's v[h, k] is a subnormal
+SUBNORMAL_MEAN = make_path([1e-292, 1e-292, 1e-292, 1.0000000000000003e-292])
+
+
+@pytest.mark.parametrize(
+    "search",
+    [joint_estimate, lambda path: gamma_known_sigma(path, sigma=0.3)],
+    ids=["joint_estimate", "gamma_known_sigma"],
+)
+def test_underflowing_mean_raises_without_numpy_warnings(search):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePathError, match="objective is not finite"):
+            search(SUBNORMAL_MEAN)
+
+
 def test_zero_weight_raises_instead_of_dividing_by_zero():
     # y**2 = 1e-600 underflows to 0, so the weight sum vanishes
     with pytest.raises(DegeneratePathError, match="weight sum is zero"):
@@ -491,6 +512,12 @@ class TestCirMoments:
         with pytest.raises(ValueError):
             cir_backout(1.0, 0.1, 0.3, 1.0, 1.0, a_bracket=(1.0, 0.5))
 
+    def test_importing_the_package_does_not_load_scipy_optimize(self):
+        code = "import sys, pathvol; print('scipy.optimize' in sys.modules)"
+        src = str(Path(pathvol.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        assert subprocess.check_output([sys.executable, "-c", code], env=env, text=True) == "False\n"
+
 
 class TestEstimateResult:
     def test_csv_row_full_precision(self):
@@ -536,7 +563,7 @@ positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
 def test_every_method_gives_finite_values_or_a_named_error(values, sigma, gamma, method):
     try:
         result = estimate(make_path(values), method, gamma=gamma, sigma=sigma)
-    except (DegeneratePathError, NoSolutionError):
+    except DegeneratePathError:
         return
     curve = [objective for _, objective in result.objective_curve or ()]
     numbers = [result.gamma_hat, result.sigma_hat, result.objective_min, *curve]

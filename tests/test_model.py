@@ -1,6 +1,7 @@
 """Model specs, drift evaluation, the drift sampler, and config round trips."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from pathvol.model import (
     ModelSpec,
     cir_model,
     ckls_model,
-    drift_function,
     eval_drift,
     format_model_config,
     parse_model_config,
@@ -94,10 +94,9 @@ def _delay_drifts():
     x=st.floats(1e-6, 1e3),
     x_lag=st.floats(1e-6, 1e3),
 )
-def test_drift_function_is_eval_drift_bitwise(drift, x, x_lag):
+def test_eval_drift_is_the_written_formula_bitwise(drift, x, x_lag):
     spec = ModelSpec(drift=drift, sigma=0.3, gamma=0.5)
-    value = drift_function(spec)(x, x_lag)
-    assert value == eval_drift(spec, x, x_lag)
+    value = eval_drift(spec, x, x_lag)
     if isinstance(drift, AffineDrift):
         expected = drift.a * drift.b - drift.a * x
     else:
@@ -184,6 +183,14 @@ class TestSampler:
         a = sample_delay_drift(np.random.default_rng(7))
         b = sample_delay_drift(np.random.default_rng(7))
         assert a == b
+
+    @pytest.mark.parametrize("c_scale", [0.0, 0.05, 0.3, 2.0])
+    def test_c_scale_multiplies_the_c_row_only(self, c_scale):
+        for seed in range(6):
+            plain = sample_delay_drift(np.random.default_rng(seed))
+            scaled = sample_delay_drift(np.random.default_rng(seed), c_scale)
+            assert scaled.c == tuple(c_scale * c for c in plain.c)
+            assert scaled == dataclasses.replace(plain, c=scaled.c)
 
     def test_matches_one_draw_call_per_vector(self):
         for seed in range(6):
