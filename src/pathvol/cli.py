@@ -1,5 +1,10 @@
 """Command line front end: simulate paths, estimate from CSV, run tables.
 
+``simulate`` builds its model with model.parse_model_config alone: each model
+flag given (--model, --a, --b, --sigma, --gamma) is the config line of the same
+name, read after the --config file's lines, so it overrides or completes the
+file; --model random-delay then adds the lines of a drift drawn from the seed.
+
 Exit codes: 0 success, 1 runtime failure (a simulation that fails or cannot
 be written, a degenerate input path), 2 usage errors (bad flags or flag
 values, a model or simulation parameter that the model or SimConfig
@@ -23,7 +28,7 @@ from .estimators import (
     estimate,
 )
 from .experiment import TABLE_IDS, TABLE_STEPS, reproduce_table
-from .model import AffineDrift, ModelSpec, ckls_model, parse_model_config, sample_delay_drift
+from .model import MissingKeyError, ModelSpec, format_drift, parse_model_config, sample_delay_drift
 from .simulate import (
     CsvFormatError,
     SimConfig,
@@ -33,6 +38,8 @@ from .simulate import (
 )
 
 _MODEL_CHOICES = ("cir", "ckls", "random-delay")
+# simulate's model flags; each one given is read as the config line <dest>=<value>
+_MODEL_FLAGS = ("model", "a", "b", "sigma", "gamma")
 # short command-line names for two registry methods
 _METHOD_ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA_SQ}
 
@@ -95,40 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_model(args, parser: argparse.ArgumentParser, rng: np.random.Generator) -> ModelSpec:
-    base: ModelSpec | None = None
+    text = ""
     if args.config is not None:
         try:
-            base = parse_model_config(args.config.read_text())
+            text = args.config.read_text() + "\n"
         except OSError as exc:
             parser.error(f"--config: cannot read file: {exc}")
-        except ValueError as exc:
-            parser.error(f"--config: {exc}")
-    kind = args.model
-    if kind is None and base is None:
-        parser.error("--model is required when no --config file is given")
-
-    sigma = args.sigma if args.sigma is not None else (base.sigma if base else None)
-    gamma = args.gamma if args.gamma is not None else (base.gamma if base else None)
-    if sigma is None:
-        parser.error("--sigma is required")
-
-    if kind is None:
-        # the config file decides the drift; scalar flags already applied
-        return ModelSpec(drift=base.drift, sigma=sigma, gamma=gamma)
-    if kind == "random-delay":
-        if gamma is None:
-            parser.error("--gamma is required for --model random-delay")
-        return ModelSpec(drift=sample_delay_drift(rng), sigma=sigma, gamma=gamma)
-    base_affine = base.drift if (base is not None and isinstance(base.drift, AffineDrift)) else None
-    a = args.a if args.a is not None else (base_affine.a if base_affine else None)
-    b = args.b if args.b is not None else (base_affine.b if base_affine else None)
-    if a is None or b is None:
-        parser.error("--a and --b are required for cir/ckls models")
-    if kind == "cir" and gamma is None:
-        gamma = 0.5
-    if gamma is None:
-        parser.error("--gamma is required for --model ckls")
-    return ckls_model(a, b, sigma, gamma)
+    text += "".join(f"{k}={getattr(args, k)}\n" for k in _MODEL_FLAGS if getattr(args, k) is not None)
+    if args.model == "random-delay":
+        text += format_drift(sample_delay_drift(rng))
+    try:
+        return parse_model_config(text)  # a repeated key keeps its last value: flags override
+    except MissingKeyError as exc:
+        flag = f"--{exc.key} or " if exc.key in _MODEL_FLAGS else ""
+        parser.error(f"{exc}: give {flag}a {exc.key}= line in the --config file")
 
 
 def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:

@@ -402,8 +402,10 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
 
 
 def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
-    """sigma as the root mean of integrated_sigma_sq over the observation window."""
+    """sigma from integrated_sigma_sq over the window; a constant path gives 0, flagged degenerate."""
     total = integrated_sigma_sq(path, gamma)
+    if total == 0.0:
+        return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=0.0, degenerate=True)
     window = path.delta * (len(path.values) - 1)
     return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=_sigma_hat(total, window))
 
@@ -510,13 +512,11 @@ def cir_backout(
 
     b is eliminated through the mean equation, leaving a one-dimensional
     root search in a over ``a_bracket`` (the lower end stays above zero:
-    as a -> 0 the mean equation degenerates).  Raises NoSolutionError,
+    as a -> 0 the mean equation degenerates): the first sign change on a
+    geometric scan, bisected down to adjacent doubles.  Raises NoSolutionError,
     carrying the sampled residual curve, if the variance residual does not
     change sign on the bracket.
     """
-    # imported here: scipy.optimize is most of the import time of the package, and nothing else uses it
-    from scipy.optimize import brentq
-
     if not (sigma > 0 and y0 > 0 and horizon > 0 and var_t > 0):
         raise ValueError("sigma, y0, horizon and var_t must all be > 0")
     lo, hi = a_bracket
@@ -530,20 +530,18 @@ def cir_backout(
     def residual(a: float) -> float:
         return cir_variance(a, b_from_mean(a), sigma, y0, horizon) - var_t
 
-    scan = np.geomspace(lo, hi, _SCAN_POINTS)
-    resids = np.array([residual(float(a)) for a in scan])
-    curve = [(float(a), float(r)) for a, r in zip(scan, resids)]
-    for i in range(len(scan) - 1):
-        r0, r1 = resids[i], resids[i + 1]
+    curve = [(a, float(residual(a))) for a in np.geomspace(lo, hi, _SCAN_POINTS).tolist()]
+    for i, (a_lo, r0) in enumerate(curve):
         if r0 == 0.0:
-            a_root = float(scan[i])
-            return a_root, b_from_mean(a_root)
-        if r0 * r1 < 0.0:
-            a_root = float(brentq(residual, float(scan[i]), float(scan[i + 1]), xtol=1e-14, rtol=1e-15))
-            return a_root, b_from_mean(a_root)
-    if resids[-1] == 0.0:
-        a_root = float(scan[-1])
-        return a_root, b_from_mean(a_root)
+            return a_lo, b_from_mean(a_lo)
+        if i + 1 < len(curve) and r0 * curve[i + 1][1] < 0.0:  # bisect down to adjacent doubles
+            a_hi = curve[i + 1][0]
+            while a_lo < (a_mid := 0.5 * (a_lo + a_hi)) < a_hi:
+                if (residual(a_mid) < 0.0) == (r0 < 0.0):
+                    a_lo = a_mid
+                else:
+                    a_hi = a_mid
+            return a_lo, b_from_mean(a_lo)
     raise NoSolutionError(
         f"variance residual does not change sign for a in [{lo}, {hi}]", residual_curve=curve
     )

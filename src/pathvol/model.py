@@ -26,7 +26,9 @@ __all__ = [
     "ckls_model",
     "eval_drift",
     "sample_delay_drift",
+    "format_drift",
     "format_model_config",
+    "MissingKeyError",
     "parse_model_config",
 ]
 
@@ -192,25 +194,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def format_drift(drift: DriftKind) -> str:
+    """A drift's key=value lines, every float in full: a and b, or n_terms, delay and term_*.
+
+    No model key: whether an affine drift is cir or ckls depends on gamma.
+    """
+    if isinstance(drift, AffineDrift):
+        lines = [f"a={_fmt(drift.a)}", f"b={_fmt(drift.b)}"]
+    else:
+        lines = [f"n_terms={drift.n_terms}", f"delay={_fmt(drift.delay)}"]
+        lines += [f"term_{name}=" + ",".join(map(_fmt, getattr(drift, name))) for name in _VECTOR_FIELDS]
+    return "\n".join(lines) + "\n"
+
+
 def format_model_config(spec: ModelSpec) -> str:
     """Render a ModelSpec as flat key=value lines (see parse_model_config)."""
-    lines: list[str] = []
-    d = spec.drift
-    if isinstance(d, AffineDrift):
-        kind = "cir" if spec.gamma == 0.5 else "ckls"
-        lines.append(f"model={kind}")
-        lines.append(f"a={_fmt(d.a)}")
-        lines.append(f"b={_fmt(d.b)}")
-    else:
-        lines.append("model=random-delay")
-        lines.append(f"n_terms={d.n_terms}")
-        lines.append(f"delay={_fmt(d.delay)}")
-        for name in _VECTOR_FIELDS:
-            values = ",".join(_fmt(v) for v in getattr(d, name))
-            lines.append(f"term_{name}={values}")
-    lines.append(f"sigma={_fmt(spec.sigma)}")
-    lines.append(f"gamma={_fmt(spec.gamma)}")
-    return "\n".join(lines) + "\n"
+    kind = ("cir" if spec.gamma == 0.5 else "ckls") if isinstance(spec.drift, AffineDrift) else "random-delay"
+    return f"model={kind}\n{format_drift(spec.drift)}sigma={_fmt(spec.sigma)}\ngamma={_fmt(spec.gamma)}\n"
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -226,9 +226,17 @@ def _parse_kv(text: str) -> dict[str, str]:
     return pairs
 
 
+class MissingKeyError(ValueError):
+    """A model config lacks the required key ``key``."""
+
+    def __init__(self, key: str) -> None:
+        super().__init__(f"missing config key {key!r}")
+        self.key = key
+
+
 def _require(pairs: dict[str, str], key: str) -> str:
     if key not in pairs:
-        raise ValueError(f"missing config key {key!r}")
+        raise MissingKeyError(key)
     return pairs[key]
 
 

@@ -218,6 +218,11 @@ def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
             fh.write(text)
 
 
+def _data_line(lines: list[str], row: int) -> int:
+    """Line number of data row ``row`` (from 0) below the header; blank lines are skipped but counted."""
+    return [n for n, raw in enumerate(lines, start=1) if raw.strip()][row + 1]
+
+
 def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
     """Read a "t,y" CSV written by write_path_csv (or equivalent).
 
@@ -259,8 +264,9 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
         raise CsvFormatError(f"line {len(lines)}: need at least 2 data rows")
     delta = times[1] - times[0]
     if delta <= 0:
-        raise CsvFormatError("line 3: time column must be strictly increasing")
+        raise CsvFormatError(f"line {_data_line(lines, 1)}: time column must be strictly increasing")
     off_grid = np.abs(np.diff(times) - delta) > 1e-9 * max(abs(delta), 1.0)
     if off_grid.any():
-        raise CsvFormatError(f"line {int(np.argmax(off_grid)) + 3}: time grid is not uniform")
+        row = int(np.argmax(off_grid)) + 1  # the row that ends the first off-grid step
+        raise CsvFormatError(f"line {_data_line(lines, row)}: time grid is not uniform")
     return SamplePath(theta=times[0], delta=float(delta), values=np.array(values))

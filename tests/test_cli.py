@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pathvol.cli import main
+from pathvol.cli import _MODEL_FLAGS, build_parser, main
 from pathvol.estimators import EstimateResult
-from pathvol.model import ckls_model, format_model_config
+from pathvol.model import ModelSpec, ckls_model, format_model_config, sample_delay_drift
 from pathvol.simulate import read_path_csv
 
 
@@ -88,6 +88,61 @@ class TestSimulate:
             "--out", str(quiet),
         ) == 0
         np.testing.assert_array_equal(read_path_csv(quiet).values, np.ones(21))
+
+    @pytest.mark.parametrize("with_model", [False, True], ids=["config-kind", "model-flag"])
+    @pytest.mark.parametrize("flag,value", [("a", 3.0), ("b", 0.25), ("sigma", 0.5), ("gamma", 0.8)])
+    @pytest.mark.parametrize("kind", ["cir", "ckls"])
+    def test_each_model_flag_overrides_the_config(self, tmp_path, kind, flag, value, with_model):
+        params = {"a": 1.0, "b": 2.0, "sigma": 0.3, "gamma": 0.5 if kind == "cir" else 0.6}
+        cfg = write_csv(tmp_path, "model.cfg", format_model_config(ckls_model(**params)))
+        model = ("--model", kind) if with_model else ()
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        common = ("--y0", "1", "--n", "20", "--seed", "4")
+        assert run_cli(
+            "simulate", "--config", str(cfg), *model, f"--{flag}", str(value), *common, "--out", str(got)
+        ) == 0
+        params[flag] = value
+        flags = [arg for key, v in params.items() for arg in (f"--{key}", str(v))]
+        assert run_cli("simulate", "--model", "ckls", *flags, *common, "--out", str(want)) == 0
+        assert got.read_text() == want.read_text()
+
+    def test_flag_completes_a_config_without_sigma(self, tmp_path):
+        cfg = write_csv(tmp_path, "model.cfg", "model=cir\na=1\nb=1\n")
+        outs = [tmp_path / "got.csv", tmp_path / "want.csv"]
+        assert run_cli(
+            "simulate", "--config", str(cfg), "--sigma", "0.3", "--y0", "1", "--n", "20", "--out", str(outs[0])
+        ) == 0
+        assert run_cli(
+            "simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
+            "--y0", "1", "--n", "20", "--out", str(outs[1]),
+        ) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
+    def test_random_delay_flag_draws_the_same_drift_over_a_config(self, tmp_path):
+        cfg = write_csv(tmp_path, "ckls.cfg", format_model_config(ckls_model(1.0, 2.0, 0.3, 0.6)))
+        outs = [tmp_path / "got.csv", tmp_path / "want.csv"]
+        common = ("--model", "random-delay", "--y0-random", "--n", "200", "--seed", "8")
+        assert run_cli("simulate", "--config", str(cfg), *common, "--out", str(outs[0])) == 0
+        assert run_cli("simulate", "--sigma", "0.3", "--gamma", "0.6", *common, "--out", str(outs[1])) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
+    def test_every_model_flag_is_a_config_key(self):
+        delay = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
+        keys = {
+            line.partition("=")[0]
+            for spec in (ckls_model(1.0, 2.0, 0.3, 0.6), delay)
+            for line in format_model_config(spec).splitlines()
+        }
+        dests = set(vars(build_parser().parse_args(["simulate", "--n", "1", "--out", "x.csv"])))
+        # the flags read as config lines are exactly the simulate flags named after a config key
+        assert set(_MODEL_FLAGS) == dests & keys
+
+    def test_missing_key_is_named_with_its_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--model", "cir", "--a", "1", "--b", "1", "--n", "10", "--out", "x.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "missing config key 'sigma'" in err and "--sigma" in err and "--config" in err
 
     def test_bad_config_file_is_usage_error(self, tmp_path):
         cfg = write_csv(tmp_path, "model.cfg", "model=banana\n")
@@ -190,6 +245,14 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert "zero-variance" in captured.err
         assert float(captured.out.strip().splitlines()[1].split(",")[2]) == 0.0
+
+    def test_constant_path_integrated_warns_zero(self, tmp_path, capsys):
+        src = write_csv(tmp_path, "flat.csv", "t,y\n0,5\n0.5,5\n1,5\n")
+        assert run_cli("estimate", "--in", str(src), "--method", "integrated", "--gamma", "0.5") == 0
+        captured = capsys.readouterr()
+        assert "zero-variance" in captured.err
+        fields = captured.out.strip().splitlines()[1].split(",")
+        assert fields[0] == "integrated-sigma-sq" and float(fields[2]) == 0.0
 
     @pytest.mark.parametrize(
         "argv",

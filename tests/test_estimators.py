@@ -513,7 +513,7 @@ class TestCirMoments:
             cir_backout(1.0, 0.1, 0.3, 1.0, 1.0, a_bracket=(1.0, 0.5))
 
     def test_importing_the_package_does_not_load_scipy_optimize(self):
-        code = "import sys, pathvol; print('scipy.optimize' in sys.modules)"
+        code = "import sys, pathvol; print('scipy' in sys.modules)"
         src = str(Path(pathvol.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         assert subprocess.check_output([sys.executable, "-c", code], env=env, text=True) == "False\n"

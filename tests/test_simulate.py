@@ -380,6 +380,8 @@ class TestCsv:
             ("t,y\n0,1\n0.1,inf\n", "line 3"),
             ("t,y\n0,1\n", "at least 2"),
             ("t,y\n0,1\n0.1,2\n0.15,3\n", "line 4"),
+            ("t,y\n\n\n0,1\n0,2\n", "line 5"),  # blank lines before the data rows
+            ("t,y\n0,1\n0.1,2\n\n0.25,3\n", "line 5"),
         ],
     )
     def test_malformed_input_names_first_bad_line(self, text, fragment):
