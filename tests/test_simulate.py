@@ -391,3 +391,177 @@ class TestCsv:
     def test_trailing_blank_lines_tolerated(self):
         back = read_path_csv(io.StringIO("t,y\n0,1\n0.1,2\n\n\n"))
         assert len(back.values) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "line 1: empty file, expected header 't,y'"),
+            ("time,value\n0,1\n0.1,2\n", "line 1: expected header 't,y', got 'time,value'"),
+            ("t,y\n0,1\n0.1\n", "line 3: expected two comma-separated fields, got '0.1'"),
+            ("t,y\n0,1\n0.1,abc\n", "line 3: non-numeric field in '0.1,abc'"),
+            ("t,y\n0,1\n0.1,inf\n", "line 3: non-finite value in '0.1,inf'"),
+            ("t,y\n0,1\n0.1, -2 \n", "line 3: path value must be > 0, got  -2"),
+            ("t,y\n0,1\n", "line 2: need at least 2 data rows"),
+            ("t,y\n\n\n0,1\n0,2\n", "line 5: time column must be strictly increasing"),
+            ("t,y\n0,1\n0.1,2\n0.15,3\n", "line 4: time grid is not uniform"),
+        ],
+        ids=["empty", "header", "field-count", "non-numeric", "non-finite", "nonpositive",
+             "row-count", "not-increasing", "off-grid"],
+    )
+    def test_error_messages_in_full(self, text, message):
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO(text))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t,y\n0,1\n0.1,abc\n0.2,3\n0.3\n", "line 3: non-numeric field in '0.1,abc'"),
+            ("t,y\n0,1\n0.1,-1\n0.2,abc\n", "line 3: path value must be > 0, got -1"),
+            ("t,y\n0,1\n0.1,nan\n0.2\n", "line 3: non-finite value in '0.1,nan'"),
+            # a row error below an off-grid step still comes first
+            ("t,y\n0,1\n0.1,2\n0.15,3\n0.3,4\n0.4,-1\n", "line 6: path value must be > 0, got -1"),
+        ],
+        ids=["non-numeric-before-count", "nonpositive-before-non-numeric", "nan-before-count",
+             "row-before-grid"],
+    )
+    def test_first_bad_line_across_error_kinds(self, text, message):
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO(text))
+        assert str(exc.value) == message
+
+    def test_misaligned_fields_name_the_long_row(self):
+        # three fields then one: the field total matches two rows, the rows do not
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO("t,y\n0,1,5\n0.1\n0.2,3\n"))
+        assert str(exc.value) == "line 2: expected two comma-separated fields, got '0,1,5'"
+
+    def test_crlf_line_endings_accepted(self, tmp_path):
+        text = "t,y\r\n0,1\r\n0.5,2\r\n\r\n1,3\r\n"
+        dest = tmp_path / "crlf.csv"
+        dest.write_bytes(text.encode("ascii"))
+        for src in (io.StringIO(text), dest):
+            back = read_path_csv(src)
+            assert back.values.tolist() == [1.0, 2.0, 3.0]
+            assert (back.theta, back.delta) == (0.0, 0.5)
+
+    def test_whitespace_only_interior_line_skipped(self):
+        back = read_path_csv(io.StringIO("t,y\n0,1\n \t \n0.5,2\n"))
+        assert back.values.tolist() == [1.0, 2.0]
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO("t,y\n0,1\n \t \n0.5,2\n0.75,3\n"))
+        assert str(exc.value) == "line 5: time grid is not uniform"
+
+    def test_fields_parse_as_float_parses_them(self):
+        back = read_path_csv(io.StringIO("t,y\n 0 , 1_0 \n\t0.5,2\t\n1,1e1\n"))
+        assert back.values.tolist() == [10.0, 2.0, 10.0]
+        assert (back.theta, back.delta) == (0.0, 0.5)
+
+def _reference_read(text: str) -> SamplePath:
+    """The per-row reader that read_path_csv replaced, kept as its reference."""
+    lines = text.splitlines()
+    if not lines:
+        raise CsvFormatError("line 1: empty file, expected header 't,y'")
+    header = lines[0].strip()
+    if header != "t,y":
+        raise CsvFormatError(f"line 1: expected header 't,y', got {lines[0]!r}")
+    data_lines = [n for n, raw in enumerate(lines, start=1) if raw.strip()][1:]
+    times: list[float] = []
+    values: list[float] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CsvFormatError(f"line {lineno}: expected two comma-separated fields, got {raw!r}")
+        try:
+            t = float(parts[0])
+            y = float(parts[1])
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: non-numeric field in {raw!r}") from None
+        if not (math.isfinite(t) and math.isfinite(y)):
+            raise CsvFormatError(f"line {lineno}: non-finite value in {raw!r}")
+        if y <= 0:
+            raise CsvFormatError(f"line {lineno}: path value must be > 0, got {parts[1]}")
+        times.append(t)
+        values.append(y)
+    if len(values) < 2:
+        raise CsvFormatError(f"line {len(lines)}: need at least 2 data rows")
+    delta = times[1] - times[0]
+    if delta <= 0:
+        raise CsvFormatError(f"line {data_lines[1]}: time column must be strictly increasing")
+    off_grid = np.abs(np.diff(times) - delta) > 1e-9 * max(abs(delta), 1.0)
+    if off_grid.any():
+        raise CsvFormatError(f"line {data_lines[int(np.argmax(off_grid)) + 1]}: time grid is not uniform")
+    return SamplePath(theta=times[0], delta=float(delta), values=np.array(values))
+
+
+def _outcome(reader, text: str):
+    """("path", theta, delta, value bytes) or ("error", message): equal outcomes are bit for bit equal."""
+    try:
+        path = reader(io.StringIO(text)) if reader is read_path_csv else reader(text)
+    except CsvFormatError as exc:
+        return ("error", str(exc))
+    return ("path", np.float64(path.theta).tobytes(), np.float64(path.delta).tobytes(), path.values.tobytes())
+
+
+def _csv_text(path: SamplePath) -> str:
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    return buf.getvalue()
+
+
+_positive_paths = st.builds(
+    make_path,
+    st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=40),
+    delta=st.floats(1e-6, 10.0),
+    theta=st.floats(-1e3, 1e3),
+)
+
+# each takes the two fields of a data row and gives the row's replacement
+_ROW_MUTATIONS = (
+    lambda t, y: t,
+    lambda t, y: f"{t},{y},{y}",
+    lambda t, y: f"{t},abc",
+    lambda t, y: f"abc,{y}",
+    lambda t, y: f"{t},inf",
+    lambda t, y: f"nan,{y}",
+    lambda t, y: f"{t},-1",
+    lambda t, y: f"{t},0",
+    lambda t, y: "",
+    lambda t, y: " \t ",
+    lambda t, y: f"{t}5,{y}",
+    lambda t, y: f" {t} , {y} ",
+    lambda t, y: f"{t},{y}\n{t},{y}",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_positive_paths)
+def test_reader_matches_reference_on_written_paths(path):
+    text = _csv_text(path)
+    assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _positive_paths,
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, len(_ROW_MUTATIONS) - 1)), min_size=1, max_size=3),
+)
+def test_reader_matches_reference_on_mutated_rows(path, mutations):
+    lines = _csv_text(path).splitlines()
+    for row, kind in mutations:
+        lineno = 1 + row % (len(lines) - 1)
+        t, y = (lines[lineno].split(",") + ["", ""])[:2]
+        lines[lineno] = _ROW_MUTATIONS[kind](t, y)
+    text = "\n".join(lines) + "\n"
+    assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
+
+
+def test_reader_matches_reference_on_a_simulated_path():
+    path = euler_maruyama(ckls_model(1.0, 1.0, 0.3, 0.6), SimConfig(n_steps=10_000, y0=1.0, seed=3))
+    text = _csv_text(path)
+    back = read_path_csv(io.StringIO(text))
+    assert np.array_equal(back.values, _reference_read(text).values)
+    assert np.array_equal(back.values, path.values)
