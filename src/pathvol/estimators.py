@@ -24,10 +24,11 @@ kernel that computes the same values):
   sigma(s)^2 ds over the observation window (time-dependent scale).
 
 A sigma estimate that a path cannot give as a finite number (an
-increment sum, weight sum or quotient that overflows, a weight sum that
-underflows to zero) raises DegeneratePathError, as does a grid search
-whose objective is not finite, and gamma_known_sigma when delta * sigma**2
-is 0 or inf.
+increment sum or quotient that overflows, a weight sum that underflows to
+zero) raises DegeneratePathError, as does a grid search whose objective is
+not finite, and gamma_known_sigma when delta * sigma**2 is 0 or inf.  A
+weight sum of sigma_known_gamma that overflows is taken over its largest
+term instead, so such a path still gets a finite estimate.
 
 ``METHODS`` maps each method name to its estimator, and ``estimate(path,
 method, **params)`` is the one dispatcher that experiments and the command
@@ -249,13 +250,17 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
     return acc.reshape(probes, -1)[:, :count], shifts.reshape(probes, -1)[:, :count]
 
 
-def _sigma_hat(total: float, weight: float) -> float:
-    """sqrt(total / weight), refusing a non-finite sum or weight, a zero weight and a non-finite result."""
+def _sigma_hat(total: float, weight: float, shift: float = 0.0) -> float:
+    """sqrt(total / (weight * exp(shift))), refusing a non-finite sum or weight, a zero weight and a non-finite result.
+
+    The shift leaves the root as the factor exp(-shift / 2), so a shift of 0
+    gives sqrt(total / weight) bit for bit.
+    """
     if not math.isfinite(total):
         raise DegeneratePathError("increment sum is not finite")
     if not 0.0 < weight < math.inf:
         raise DegeneratePathError("weight sum is zero" if weight == 0.0 else "weight sum is not finite")
-    sigma_hat = math.sqrt(total / weight)
+    sigma_hat = math.sqrt(total / weight) * math.exp(-0.5 * shift)
     if not math.isfinite(sigma_hat):
         raise DegeneratePathError("scale estimate is not finite")
     return sigma_hat
@@ -300,9 +305,16 @@ def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) ->
     total = float(_increment_sums(path, [h])[0])
     if total == 0.0:
         return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
-    with np.errstate(over="ignore"):  # _sigma_hat refuses an infinite weight
-        weight = path.delta * float(np.sum(path.values[1:] ** (2.0 * (gamma - h))))
-    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, weight))
+    scale = 2.0 * (gamma - h)
+    y = path.values[1:]
+    with np.errstate(over="ignore"):
+        weight = path.delta * float(np.sum(y**scale))
+    shift = 0.0
+    if weight == math.inf:  # the terms overflow: sum exp(scale * log y) over its largest term
+        log_terms = scale * np.log(y)
+        shift = float(log_terms.max())
+        weight = path.delta * float(np.sum(np.exp(log_terms - shift)))
+    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, weight, shift))
 
 
 def gamma_ratio_estimate(

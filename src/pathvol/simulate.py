@@ -19,13 +19,14 @@ for bit what the recursion above gives with ``eval_drift``, from the same draws.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, NoReturn
 
 import numpy as np
 
@@ -205,7 +206,11 @@ def euler_maruyama(
 
 # ---------------------------------------------------------------------------
 # CSV persistence: header "t,y", one grid point per row, 17 significant digits
-# so doubles survive a write/read round trip bit for bit.
+# so doubles survive a write/read round trip bit for bit.  The writer formats
+# row by row (numpy's savetxt is slower still).  The reader converts every
+# field with one numpy call, whose str-to-float conversion follows float()'s
+# rules, checks the rows as whole arrays, and finds the line of an error only
+# once a check has failed.
 
 
 def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
@@ -223,25 +228,25 @@ def _data_line(lines: list[str], row: int) -> int:
     return [n for n, raw in enumerate(lines, start=1) if raw.strip()][row + 1]
 
 
-def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
-    """Read a "t,y" CSV written by write_path_csv (or equivalent).
-
-    The grid must be uniform and the values positive.  Raises CsvFormatError
-    naming the first offending line.
-    """
+def _read_text(src: str | Path | IO[str]) -> str:
+    """The text of ``src``; a file must be ASCII, and a non-ASCII byte raises CsvFormatError naming its line."""
     if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src, "r", encoding="ascii") as fh:
-            text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise CsvFormatError("line 1: empty file, expected header 't,y'")
-    header = lines[0].strip()
-    if header != "t,y":
-        raise CsvFormatError(f"line 1: expected header 't,y', got {lines[0]!r}")
-    times: list[float] = []
-    values: list[float] = []
+        return src.read()
+    data = Path(src).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # every byte ahead of the bad one is ASCII; one more character closes its line
+        lineno = len((data[: exc.start] + b"x").decode("ascii").splitlines())
+        raise CsvFormatError(f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
+def _raise_row_error(lines: list[str]) -> NoReturn:
+    """Raise the error of the first data row that fails a per-row check, else that of too few rows.
+
+    Called only once a whole-array check has failed, so some row fails or
+    fewer than two rows are present: it never returns.
+    """
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -258,15 +263,44 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
             raise CsvFormatError(f"line {lineno}: non-finite value in {raw!r}")
         if y <= 0:
             raise CsvFormatError(f"line {lineno}: path value must be > 0, got {parts[1]}")
-        times.append(t)
-        values.append(y)
-    if len(values) < 2:
-        raise CsvFormatError(f"line {len(lines)}: need at least 2 data rows")
-    delta = times[1] - times[0]
+    raise CsvFormatError(f"line {len(lines)}: need at least 2 data rows")
+
+
+def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
+    """Read a "t,y" CSV written by write_path_csv (or equivalent).
+
+    Blank lines are skipped; a file must be ASCII.  Each field is read as
+    float() reads it, so the values are bit for bit those written.  The grid
+    must be uniform and the values positive.  Raises CsvFormatError naming
+    the first offending line.
+    """
+    text = _read_text(src)
+    lines = text.splitlines()
+    if not lines:
+        raise CsvFormatError("line 1: empty file, expected header 't,y'")
+    if lines[0].strip() != "t,y":
+        raise CsvFormatError(f"line 1: expected header 't,y', got {lines[0]!r}")
+    rows = list(filter(None, map(str.strip, lines[1:])))
+    n = len(rows)
+    # a "\n" field between rows: each row has two fields iff every third field is one
+    joined = ",\n,".join(rows)
+    del lines, rows  # the line strings go before the field strings come
+    fields = joined.split(",")
+    del joined
+    data = None
+    if n >= 2 and len(fields) == 3 * n - 1 and fields[2::3].count("\n") == n - 1:
+        del fields[2::3]
+        with contextlib.suppress(ValueError):  # a field that float() refuses
+            data = np.array(fields, dtype=float).reshape(n, 2)
+    del fields
+    if data is None or not np.isfinite(data).all() or not (data[:, 1] > 0).all():
+        _raise_row_error(text.splitlines())
+    times, values = data.T.copy()
+    delta = float(times[1] - times[0])
     if delta <= 0:
-        raise CsvFormatError(f"line {_data_line(lines, 1)}: time column must be strictly increasing")
+        raise CsvFormatError(f"line {_data_line(text.splitlines(), 1)}: time column must be strictly increasing")
     off_grid = np.abs(np.diff(times) - delta) > 1e-9 * max(abs(delta), 1.0)
     if off_grid.any():
         row = int(np.argmax(off_grid)) + 1  # the row that ends the first off-grid step
-        raise CsvFormatError(f"line {_data_line(lines, row)}: time grid is not uniform")
-    return SamplePath(theta=times[0], delta=float(delta), values=np.array(values))
+        raise CsvFormatError(f"line {_data_line(text.splitlines(), row)}: time grid is not uniform")
+    return SamplePath(theta=float(times[0]), delta=delta, values=values)

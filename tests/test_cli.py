@@ -226,6 +226,23 @@ class TestEstimate:
         ) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"t,y\n0,1\n0.5,2\xc3\xa9\n", "line 3: non-ASCII byte 0xc3"),
+            (b"\xef\xbb\xbft,y\n0,1\n0.5,2\n", "line 1: non-ASCII byte 0xef"),
+        ],
+        ids=["utf8-letter", "bom"],
+    )
+    def test_non_ascii_csv_exit_2_names_line(self, tmp_path, capsys, data, message):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(data)
+        assert run_cli(
+            "estimate", "--in", str(src), "--method", "integrated", "--gamma", "0.5"
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {src}: {message}\n"
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run_cli(
             "estimate", "--in", str(tmp_path / "nope.csv"), "--method", "joint"
@@ -282,13 +299,15 @@ class TestEstimate:
         ) == 1
         assert capsys.readouterr().err.startswith("error: weight sum is zero")
 
-    def test_infinite_weight_sum_exit_1(self, tmp_path, capsys):
+    def test_infinite_weight_sum_gives_finite_estimate(self, tmp_path, capsys):
         src = write_csv(tmp_path, "huge.csv", "t,y\n0,1e160\n0.01,1.000000000000001e160\n")
         assert run_cli(
             "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1", "--h", "0"
-        ) == 1
+        ) == 0
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: weight sum is not finite")
+        assert err == ""
+        sigma_hat = float(out.splitlines()[1].split(",")[2])
+        assert sigma_hat == pytest.approx(2.583831492018e-158, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", ["1e-100", "1e-200"])
     def test_level_term_out_of_float_range_exit_1(self, tmp_path, capsys, sigma):

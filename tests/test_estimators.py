@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -436,10 +437,30 @@ def test_zero_weight_raises_instead_of_dividing_by_zero():
         sigma_known_gamma(make_path([1.0, 1e-300]), gamma=1.0, h=0.0)
 
 
-def test_infinite_weight_raises_instead_of_returning_zero():
-    # y**2 = 1e320 overflows to inf, so the quotient total / weight would be 0.0
-    with pytest.raises(DegeneratePathError, match="weight sum is not finite"):
-        sigma_known_gamma(make_path([1e160, 1.000000000000001e160]), gamma=1.0, h=0.0)
+def test_infinite_weight_gives_finite_answer():
+    # y**2 = 1e320 overflows to inf; the weight summed over its largest term does not
+    path = make_path([1e160, 1.000000000000001e160])
+    total = float(compute_aux(path, 0.0).v.sum())
+    sigma_sq = Decimal(total) / (Decimal(path.delta) * Decimal(float(path.values[1])) ** 2)
+    sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
+    assert sigma_hat == pytest.approx(float(sigma_sq.sqrt()), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_sigma_known_gamma_without_overflow_is_the_plain_quotient(values, gamma, h):
+    path = make_path(values)
+    total = float(_increment_sums(path, [h])[0])
+    weight = path.delta * float(np.sum(path.values[1:] ** (2.0 * (gamma - h))))
+    result = sigma_known_gamma(path, gamma=gamma, h=h)
+    if total == 0.0:
+        assert result.degenerate
+    else:
+        assert result.sigma_hat == math.sqrt(total / weight)
 
 
 class TestIntegratedSigmaSq:

@@ -457,6 +457,29 @@ class TestCsv:
         assert back.values.tolist() == [10.0, 2.0, 10.0]
         assert (back.theta, back.delta) == (0.0, 0.5)
 
+    def test_row_is_stripped_before_its_fields_are_parsed(self):
+        # str.strip() drops the unit separator 0x1f, which float() refuses
+        back = read_path_csv(io.StringIO("t,y\n0,1\x1f\n\x1f0.5,2\n"))
+        assert back.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"\xef\xbb\xbft,y\n0,1\n0.5,2\n", "line 1: non-ASCII byte 0xef"),
+            (b"t,y\n0,1\n0.5,2\xc3\xa9\n", "line 3: non-ASCII byte 0xc3"),
+            (b"t,y\r\n0,1\r\n\r\n0.5,\xff2\r\n", "line 4: non-ASCII byte 0xff"),
+            (b"t,y\r0,1\r\xa00.5,2\r", "line 3: non-ASCII byte 0xa0"),
+        ],
+        ids=["bom", "utf8-letter", "crlf", "cr"],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, message):
+        dest = tmp_path / "bad.csv"
+        dest.write_bytes(data)
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(dest)
+        assert str(exc.value) == message
+
+
 def _reference_read(text: str) -> SamplePath:
     """The per-row reader that read_path_csv replaced, kept as its reference."""
     lines = text.splitlines()
@@ -533,6 +556,7 @@ _ROW_MUTATIONS = (
     lambda t, y: " \t ",
     lambda t, y: f"{t}5,{y}",
     lambda t, y: f" {t} , {y} ",
+    lambda t, y: f"\x1f{t},{y}\x1f",
     lambda t, y: f"{t},{y}\n{t},{y}",
 )
 
