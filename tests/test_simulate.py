@@ -480,9 +480,9 @@ class TestCsv:
         assert str(exc.value) == message
 
 
-def _reference_read(text: str) -> SamplePath:
+def _reference_read(src: io.StringIO) -> SamplePath:
     """The per-row reader that read_path_csv replaced, kept as its reference."""
-    lines = text.splitlines()
+    lines = src.read().splitlines()
     if not lines:
         raise CsvFormatError("line 1: empty file, expected header 't,y'")
     header = lines[0].strip()
@@ -523,7 +523,7 @@ def _reference_read(text: str) -> SamplePath:
 def _outcome(reader, text: str):
     """("path", theta, delta, value bytes) or ("error", message): equal outcomes are bit for bit equal."""
     try:
-        path = reader(io.StringIO(text)) if reader is read_path_csv else reader(text)
+        path = reader(io.StringIO(text))
     except CsvFormatError as exc:
         return ("error", str(exc))
     return ("path", np.float64(path.theta).tobytes(), np.float64(path.delta).tobytes(), path.values.tobytes())
@@ -587,5 +587,5 @@ def test_reader_matches_reference_on_a_simulated_path():
     path = euler_maruyama(ckls_model(1.0, 1.0, 0.3, 0.6), SimConfig(n_steps=10_000, y0=1.0, seed=3))
     text = _csv_text(path)
     back = read_path_csv(io.StringIO(text))
-    assert np.array_equal(back.values, _reference_read(text).values)
+    assert np.array_equal(back.values, _reference_read(io.StringIO(text)).values)
     assert np.array_equal(back.values, path.values)
