@@ -8,6 +8,7 @@ import pytest
 
 from pathvol.cli import _MODEL_FLAGS, build_parser, main
 from pathvol.estimators import EstimateResult
+from pathvol.experiment import TABLE_IDS
 from pathvol.model import ModelSpec, ckls_model, format_model_config, sample_delay_drift
 from pathvol.simulate import read_path_csv
 
@@ -356,6 +357,27 @@ def test_usage_error_shows_the_subcommand_usage(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: pathvol {argv[0]} ")
     assert f"pathvol {argv[0]}: error: " in err
+
+
+def test_main_calls_share_no_parsed_state(monkeypatch):
+    # main() parses with one parser; a handler that consumes its arguments in place leaks nothing
+    from pathvol import cli
+
+    seen = []
+
+    def consume(args, parser):
+        seen.append((tuple(args.table), args.trials))
+        if isinstance(args.table, list):
+            args.table.clear()
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_experiment", consume)
+    assert main(["experiment", "--table", "t2", "--trials", "3"]) == 0
+    assert main(["experiment"]) == 0
+    with pytest.raises(SystemExit):
+        main(["experiment", "--table", "t9"])
+    assert main(["experiment", "--seed", "4"]) == 0
+    assert seen == [(("t2",), 3), (TABLE_IDS, 1000), (TABLE_IDS, 1000)]
 
 
 class TestExperiment:

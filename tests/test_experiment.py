@@ -73,6 +73,18 @@ def test_rmse_dominates_bias_and_mae(errors):
     assert stats.mae + 1e-12 >= abs(stats.bias)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64), st.integers(0, 3))
+def test_aggregate_is_the_numpy_mean_formulas_bitwise(errors, failures):
+    # numpy's pairwise sum changes its order above 8 elements; the sizes cover both sides
+    err = np.array(errors)
+    stats = experiment._aggregate(err, failures)
+    assert stats.rmse == float(np.sqrt(np.mean(err * err)))
+    assert stats.mae == float(np.mean(np.abs(err)))
+    assert stats.bias == float(np.mean(err))
+    assert (stats.n_effective, stats.failures) == (err.size, failures)
+
+
 class TestRunTrials:
     def test_deterministic_under_master_seed(self):
         a = run_experiment(tiny_config())
@@ -191,6 +203,30 @@ class TestBootstrap:
             bootstrap_rmse_se([0.1])
 
 
+# (row_id, rmse, mae, bias, n_effective, failures) of reproduce_table(table, trials=5, master_seed=0)
+_PINNED_STATS = {
+    ("t1a", 52): (
+        ("gamma=0.5 h=0.5", "0.03958673433123491", "0.036836708823107064", "0.0030991025242533997", 5, 0),
+        ("gamma=0.4 h=0.5", "0.02922531291155332", "0.027006969308904637", "0.01752593822720837", 5, 0),
+        ("gamma=0.6 h=0.5", "0.021073003764150597", "0.01673965269118478", "0.006412113012517695", 5, 0),
+        ("gamma=0.7 h=0.5", "0.04624208864246971", "0.04161828835303304", "-0.04161828835303304", 5, 0),
+    ),
+    ("t1b", 250): (
+        ("gamma=0.5 h=0.5", "0.011385766334490238", "0.00997286847255996", "0.0013846715952688271", 5, 0),
+        ("gamma=0.4 h=0.5", "0.02479515319683624", "0.022024642549986994", "0.016964827191481468", 5, 0),
+        ("gamma=0.6 h=0.5", "0.016399212510513204", "0.012266565393583295", "-0.01215689829485932", 5, 0),
+        ("gamma=0.7 h=0.5", "0.032276675409567024", "0.02987226415013885", "-0.02987226415013885", 5, 0),
+    ),
+    ("t2", 250): (
+        ("delta=1/250 gamma-ratio", "0.22942197899164862", "0.19400000000000003", "0.19400000000000003", 5, 0),
+        ("delta=1/250 joint-variance", "0.21781745670272726", "0.17333333333333334", "0.14000000000000004", 5, 0),
+    ),
+    ("t3", 250): (
+        ("delta=1/250", "0.01772910387773009", "0.015185050054723714", "0.0031765832472859246", 5, 0),
+    ),
+}
+
+
 class TestTables:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):
@@ -242,6 +278,17 @@ class TestTables:
         monkeypatch.setattr(experiment, "EstimatorSpec", None)  # the table specs exist already
         reproduce_table("t2", trials=1, n_steps_filter=(250,))
         assert built == [250, 250]
+
+    @pytest.mark.parametrize("table_id, n_steps", list(_PINNED_STATS))
+    def test_five_trial_stats_are_pinned(self, table_id, n_steps):
+        # the per-trial streams, simulator and estimators, bit for bit: reprs recorded at seed 0
+        report = reproduce_table(table_id, trials=5, master_seed=0, n_steps_filter=(n_steps,))
+        got = [
+            (row.row_id, repr(row.stats.rmse), repr(row.stats.mae), repr(row.stats.bias),
+             row.stats.n_effective, row.stats.failures)
+            for row in report.rows
+        ]
+        assert got == list(_PINNED_STATS[table_id, n_steps])
 
     def test_filter_removing_everything_rejected(self):
         with pytest.raises(ValueError, match="filter"):

@@ -135,6 +135,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="delay"):
             one_term(delay=-0.1)
 
+    @pytest.mark.parametrize(
+        "vectors, delay, error, message",
+        [
+            ({"b": (1.0, 2.0)}, 0.0, ValueError, "parameter vector 'b' has length 2, expected 1"),
+            ({"nu_hat": ()}, 0.0, ValueError, "parameter vector 'nu_hat' has length 0, expected 1"),
+            ({name: () for name in "a b nu c d e a_hat b_hat nu_hat".split()}, 0.0, ValueError,
+             "drift needs at least one term"),
+            # every vector is converted before any length is checked
+            ({"a": (), "e": ("x",)}, 0.0, ValueError, "could not convert string to float: 'x'"),
+            ({"c": (None,)}, 0.0, TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+            ({}, -0.1, ValueError, "delay must be finite and >= 0"),
+            ({}, math.nan, ValueError, "delay must be finite and >= 0"),
+            ({}, math.inf, ValueError, "delay must be finite and >= 0"),
+        ],
+        ids=["long", "short", "no-terms", "convert-first", "none", "negative-delay", "nan-delay", "inf-delay"],
+    )
+    def test_delay_spec_refusals_in_full(self, vectors, delay, error, message):
+        fields = {name: (0.5,) for name in "a b nu c d e a_hat b_hat nu_hat".split()}
+        with pytest.raises(error) as exc:
+            DelayDriftSpec(**{**fields, **vectors}, delay=delay)
+        assert str(exc.value) == message
+
+    def test_delay_spec_vectors_become_float_tuples(self):
+        spec = DelayDriftSpec(
+            a=[1, 2], b=np.array([0.5, 1.5]), nu=(0, 0), c=iter([1.0, 2.0]), d=(0.0, 0.0),
+            e=(0.0, 0.0), a_hat=(0.0, 0.0), b_hat=(0.0, 0.0), nu_hat=(True, False),
+        )
+        assert spec.a == (1.0, 2.0) and spec.b == (0.5, 1.5) and spec.c == (1.0, 2.0)
+        assert spec.nu_hat == (1.0, 0.0)
+        assert all(type(v) is float for v in spec.a + spec.b + spec.nu + spec.nu_hat)
+
     def test_gamma_outside_unit_interval_rejected(self):
         for gamma in (-0.1, 1.1):
             with pytest.raises(ValueError, match="gamma"):

@@ -46,6 +46,32 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="delta"):
             SamplePath(theta=0.0, delta=0.0, values=[1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "delta, values, error, message",
+        [
+            (0.0, [1.0, 2.0], ValueError, "delta must be finite and > 0"),
+            (-0.1, [1.0, 2.0], ValueError, "delta must be finite and > 0"),
+            (float("nan"), [1.0, 2.0], ValueError, "delta must be finite and > 0"),
+            (float("inf"), [1.0, 2.0], ValueError, "delta must be finite and > 0"),
+            (0.1, [1.0], DegeneratePathError, "path needs at least 2 points"),
+            (0.1, [[1.0, 2.0], [3.0, 4.0]], DegeneratePathError, "path needs at least 2 points"),
+            (0.1, [1.0, float("nan")], ValueError, "path values must be finite"),
+            (0.1, [1.0, float("-inf")], ValueError, "path values must be finite"),
+            # finiteness is checked first
+            (0.1, [-1.0, float("inf")], ValueError, "path values must be finite"),
+            (0.1, [1.0, -2.0], ValueError, "path values must be strictly positive"),
+            (0.1, [0.0, 1.0], ValueError, "path values must be strictly positive"),
+        ],
+    )
+    def test_refusals_in_full(self, delta, values, error, message):
+        with pytest.raises(error) as exc:
+            SamplePath(theta=0.0, delta=delta, values=values)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_values_become_a_float_array(self):
+        path = SamplePath(theta=0.0, delta=0.5, values=[1, 2, 3])
+        assert path.values.dtype == np.float64 and path.values.tolist() == [1.0, 2.0, 3.0]
+
 
 class TestSimConfig:
     def test_delta(self):
