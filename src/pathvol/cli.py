@@ -13,6 +13,7 @@ refuses, malformed input files).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stop-ratio", type=float, default=0.001)
     sim.add_argument("--delay-rule", choices=("scaled", "literal"), default="scaled")
     sim.add_argument("--out", type=Path, required=True, help="output CSV file (header t,y)")
-    sim.set_defaults(func=cmd_simulate, parser=sim)
+    sim.set_defaults(parser=sim)
 
     est = sub.add_parser("estimate", help="run one estimator on a path CSV")
     est.add_argument("--in", dest="infile", type=Path, required=True, help="input CSV (header t,y)")
@@ -85,11 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan candidates in (LO, HI] instead of (0, 1] (the three grid searches)",
     )
     est.add_argument("--curve", type=Path, help="write the objective curve CSV here")
-    est.set_defaults(func=cmd_estimate, parser=est)
+    est.set_defaults(parser=est)
 
     exp = sub.add_parser("experiment", help="rerun benchmark error tables")
     exp.add_argument(
-        "--table", nargs="+", choices=TABLE_IDS, default=list(TABLE_IDS), help="default: all"
+        "--table", nargs="+", choices=TABLE_IDS, default=TABLE_IDS, help="default: all"
     )
     exp.add_argument("--trials", type=int, default=1000, help="trials per table row")
     exp.add_argument("--seed", type=int, default=0)
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-steps", type=int, help="skip rows with more steps than this (e.g. 250 for a fast pass)"
     )
     exp.add_argument("--out", type=Path, help="write the comparison CSV here (one table only)")
-    exp.set_defaults(func=cmd_experiment, parser=exp)
+    exp.set_defaults(parser=exp)
     return parser
 
 
@@ -217,11 +218,13 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)  # main's, built once: parsing leaves it as it was, its defaults immutable
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # each handler reports usage errors with its own subcommand's usage line
-    return args.func(args, args.parser)
+    args = _parser().parse_args(argv)
+    # cmd_<command> is looked up when called; it reports usage errors with its subcommand's usage line
+    return globals()[f"cmd_{args.command}"](args, args.parser)
 
 
 if __name__ == "__main__":

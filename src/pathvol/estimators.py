@@ -24,11 +24,11 @@ kernel that computes the same values):
   sigma(s)^2 ds over the observation window (time-dependent scale).
 
 A sigma estimate that a path cannot give as a finite number (an
-increment sum or quotient that overflows, a weight sum that underflows to
-zero) raises DegeneratePathError, as does a grid search whose objective is
-not finite, and gamma_known_sigma when delta * sigma**2 is 0 or inf.  A
-weight sum of sigma_known_gamma that overflows is taken over its largest
-term instead, so such a path still gets a finite estimate.
+increment sum or quotient that overflows) raises DegeneratePathError, as
+does a grid search whose objective is not finite, and gamma_known_sigma
+when delta * sigma**2 is 0 or inf.  A weight sum of sigma_known_gamma that
+overflows or underflows to zero is taken over its largest term instead, so
+such a path still gets a finite estimate where the result itself is one.
 
 ``METHODS`` maps each method name to its estimator, and ``estimate(path,
 method, **params)`` is the one dispatcher that experiments and the command
@@ -172,8 +172,8 @@ def _row_blocks(count: int, n: int) -> Iterator[slice]:
 def _increment_blocks(path: SamplePath, exponents: list[float]) -> Iterator[tuple[slice, np.ndarray]]:
     """Blocks (rows, v) of v[h, k] = log1p((dy[k] / y_prev[k]**h)**2), one row per exponent h."""
     y = path.values
-    dy = np.diff(y)
     prev = y[:-1]
+    dy = y[1:] - prev  # np.diff(y) without its wrapper
     for rows in _row_blocks(len(exponents), dy.size):
         v = np.empty((rows.stop - rows.start, dy.size))
         # one scalar power per row keeps numpy's ** shortcuts (sqrt at h = 0.5)
@@ -189,24 +189,24 @@ def _increment_sums(path: SamplePath, exponents: list[float]) -> np.ndarray:
     sums = np.empty(len(exponents))
     with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite sum
         for rows, v in _increment_blocks(path, exponents):
-            v.sum(axis=1, out=sums[rows])
+            np.add.reduce(v, axis=1, out=sums[rows])
     return sums
 
 
 def _spread(path: SamplePath, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per candidate h: v_bar[h] = mean(v[h]) and spread[h] = sum_k (v[h, k] / v_bar[h] - 1)**2."""
-    if not np.any(np.diff(path.values)):
+    if (path.values == path.values[0]).all():
         raise DegeneratePathError("constant path: no increments to fit")
     v_bars = np.empty(grid.size)
     spreads = np.empty(grid.size)
     # a v_bar that underflows to 0 divides; _search_result refuses the non-finite curve
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for rows, v in _increment_blocks(path, grid.tolist()):
-            v_bars[rows] = v_bar = v.mean(axis=1)
+            v_bars[rows] = v_bar = np.add.reduce(v, axis=1) / v.shape[1]  # v.mean(axis=1) bit for bit
             v /= v_bar[:, None]
             v -= 1.0
             v *= v
-            v.sum(axis=1, out=spreads[rows])
+            np.add.reduce(v, axis=1, out=spreads[rows])
     return v_bars, spreads
 
 
@@ -260,7 +260,10 @@ def _sigma_hat(total: float, weight: float, shift: float = 0.0) -> float:
         raise DegeneratePathError("increment sum is not finite")
     if not 0.0 < weight < math.inf:
         raise DegeneratePathError("weight sum is zero" if weight == 0.0 else "weight sum is not finite")
-    sigma_hat = math.sqrt(total / weight) * math.exp(-0.5 * shift)
+    try:
+        sigma_hat = math.sqrt(total / weight) * math.exp(-0.5 * shift)
+    except OverflowError:  # exp(-shift / 2) alone is above the largest double
+        sigma_hat = math.inf
     if not math.isfinite(sigma_hat):
         raise DegeneratePathError("scale estimate is not finite")
     return sigma_hat
@@ -277,11 +280,11 @@ def _search_result(
 
     With ``v_bars`` (the per-candidate means of v), sigma_hat = sqrt(v_bars[best] / delta).
     """
-    bad = ~np.isfinite(objective)
-    if bad.any():
-        candidate = float(grid[int(np.argmax(bad))])
+    finite = np.isfinite(objective)
+    if not finite.all():
+        candidate = float(grid[int(finite.argmin())])
         raise DegeneratePathError(f"objective is not finite at candidate {candidate:.17g}")
-    best = int(np.argmin(objective))
+    best = int(objective.argmin())
     return EstimateResult(
         method=method,
         gamma_hat=float(grid[best]),
@@ -308,12 +311,12 @@ def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) ->
     scale = 2.0 * (gamma - h)
     y = path.values[1:]
     with np.errstate(over="ignore"):
-        weight = path.delta * float(np.sum(y**scale))
+        weight = path.delta * float(np.add.reduce(y**scale))
     shift = 0.0
-    if weight == math.inf:  # the terms overflow: sum exp(scale * log y) over its largest term
+    if weight in (0.0, math.inf):  # the terms under- or overflow: sum exp(scale * log y) over its largest term
         log_terms = scale * np.log(y)
         shift = float(log_terms.max())
-        weight = path.delta * float(np.sum(np.exp(log_terms - shift)))
+        weight = path.delta * float(np.add.reduce(np.exp(log_terms - shift)))
     return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, weight, shift))
 
 

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimators
 from .estimators import (
     METHOD_GAMMA_RATIO,
     METHOD_JOINT_VARIANCE,
     METHOD_SIGMA_KNOWN_GAMMA,
     METHODS,
     check_params,
-    estimate,
 )
 from .model import ModelSpec, sample_delay_drift
 from .simulate import DegeneratePathError, SimConfig, euler_maruyama
@@ -106,7 +107,8 @@ class EstimatorSpec:
         object.__setattr__(self, "_kwargs", kwargs)
 
     def estimate(self, path) -> float:
-        result = estimate(path, self.method, **self._kwargs)
+        # the parameters are checked; look the estimator up when called, as estimators.estimate does
+        result = getattr(estimators, METHODS[self.method].function)(path, **self._kwargs)
         return float(result.sigma_hat if self.target == "sigma" else result.gamma_hat)
 
 
@@ -148,11 +150,12 @@ class TrialStats:
 
 
 def _aggregate(errors: np.ndarray, failures: int) -> TrialStats:
+    n = errors.size  # each mean is np.mean's sum over n, bit for bit, without its wrapper
     return TrialStats(
-        rmse=float(np.sqrt(np.mean(errors * errors))),
-        mae=float(np.mean(np.abs(errors))),
-        bias=float(np.mean(errors)),
-        n_effective=int(errors.size),
+        rmse=math.sqrt(np.add.reduce(errors * errors) / n),
+        mae=float(np.add.reduce(np.abs(errors)) / n),
+        bias=float(np.add.reduce(errors) / n),
+        n_effective=int(n),
         failures=int(failures),
     )
 

@@ -79,7 +79,7 @@ class DelayDriftSpec:
 
     def __post_init__(self) -> None:
         for name in _VECTOR_FIELDS:
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         n = len(self.a)
         if n < 1:
             raise ValueError("drift needs at least one term")
@@ -146,9 +146,11 @@ def drift_constants(drift: DriftKind) -> tuple[float, ...]:
     """Values of the constant names of ``drift_source(drift.n_terms)``, in order."""
     if isinstance(drift, AffineDrift):
         return drift.a, drift.a * drift.b
-    terms = zip(drift.a, drift.b, [nu + 0.5 for nu in drift.nu], drift.c, drift.d, drift.e,
-                [0.1 * a for a in drift.a_hat], drift.b_hat, [nu + 0.5 for nu in drift.nu_hat])
-    return tuple(v for term in terms for v in term)
+    constants = ()
+    vectors = drift.a, drift.b, drift.nu, drift.c, drift.d, drift.e, drift.a_hat, drift.b_hat, drift.nu_hat
+    for a, b, nu, c, d, e, a_hat, b_hat, nu_hat in zip(*vectors):
+        constants += (a, b, nu + 0.5, c, d, e, 0.1 * a_hat, b_hat, nu_hat + 0.5)
+    return constants
 
 
 @functools.cache

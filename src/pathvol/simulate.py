@@ -73,9 +73,9 @@ class SamplePath:
             raise ValueError("delta must be finite and > 0")
         if vals.ndim != 1 or vals.size < 2:
             raise DegeneratePathError("path needs at least 2 points")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("path values must be finite")
-        if not np.all(vals > 0):
+        if not (vals > 0).all():
             raise ValueError("path values must be strictly positive")
 
     @property
@@ -135,10 +135,10 @@ def sample_y0(rng: np.random.Generator, low: float = Y0_LOW, high: float = Y0_HI
     return float(rng.uniform(low, high))
 
 
-def _delay_lag(model: ModelSpec, cfg: SimConfig) -> int:
+def _delay_lag(delay: float, delta: float, cfg: SimConfig) -> int:  # delta is cfg.delta
     if cfg.delay_rule == "scaled":
-        return int(math.floor(model.drift.delay / cfg.delta))
-    return int(math.floor(model.drift.delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1)))
+        return math.floor(delay / delta)
+    return math.floor(delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1))
 
 
 # Euler steps on Python floats; {items} binds xi (and x_lagged for a delay drift).
@@ -189,7 +189,7 @@ def euler_maruyama(
     noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats
     values = [y0]
     # the delayed state of step k: y0 while k < lag, then values[k - lag]
-    delayed = chain(repeat(y0, _delay_lag(model, cfg)), values)
+    delayed = chain(repeat(y0, _delay_lag(model.drift.delay, delta, cfg)), values)
     fixes = _step_loop(model.drift.n_terms)(
         noise, delayed, values, delta, float(model.sigma), float(model.gamma),
         math.sqrt(delta), threshold, *drift_constants(model.drift),
@@ -229,16 +229,21 @@ def _data_line(lines: list[str], row: int) -> int:
 
 
 def _read_text(src: str | Path | IO[str]) -> str:
-    """The text of ``src``; a file must be ASCII, and a non-ASCII byte raises CsvFormatError naming its line."""
+    """The text of ``src``, which must be ASCII; CsvFormatError names the line of a non-ASCII byte or character."""
     if hasattr(src, "read"):
-        return src.read()
-    data = Path(src).read_bytes()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # every byte ahead of the bad one is ASCII; one more character closes its line
-        lineno = len((data[: exc.start] + b"x").decode("ascii").splitlines())
-        raise CsvFormatError(f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+        text = src.read()
+        if text.isascii():
+            return text
+        start = next(i for i, ch in enumerate(text) if not ch.isascii())
+        head, bad = text[:start], f"character U+{ord(text[start]):04X}"
+    else:
+        data = Path(src).read_bytes()
+        try:
+            return data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            head, bad = data[: exc.start].decode("ascii"), f"byte 0x{data[exc.start]:02x}"
+    # every character of head is ASCII; one more character closes the line of the bad one
+    raise CsvFormatError(f"line {len((head + 'x').splitlines())}: non-ASCII {bad}")
 
 
 def _raise_row_error(lines: list[str]) -> NoReturn:
@@ -269,7 +274,7 @@ def _raise_row_error(lines: list[str]) -> NoReturn:
 def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
     """Read a "t,y" CSV written by write_path_csv (or equivalent).
 
-    Blank lines are skipped; a file must be ASCII.  Each field is read as
+    Blank lines are skipped; the text must be ASCII.  Each field is read as
     float() reads it, so the values are bit for bit those written.  The grid
     must be uniform and the values positive.  Raises CsvFormatError naming
     the first offending line.

@@ -293,12 +293,15 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
-    def test_zero_weight_sum_exit_1(self, tmp_path, capsys):
+    def test_underflowing_weight_sum_gives_finite_estimate(self, tmp_path, capsys):
         src = write_csv(tmp_path, "tiny.csv", "t,y\n0,1\n0.01,1e-300\n")
         assert run_cli(
             "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1", "--h", "0"
-        ) == 1
-        assert capsys.readouterr().err.startswith("error: weight sum is zero")
+        ) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        sigma_hat = float(out.splitlines()[1].split(",")[2])
+        assert sigma_hat == pytest.approx(8.325546111576978e300, rel=1e-12)
 
     def test_infinite_weight_sum_gives_finite_estimate(self, tmp_path, capsys):
         src = write_csv(tmp_path, "huge.csv", "t,y\n0,1e160\n0.01,1.000000000000001e160\n")

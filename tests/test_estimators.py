@@ -431,10 +431,19 @@ def test_underflowing_mean_raises_without_numpy_warnings(search):
             search(SUBNORMAL_MEAN)
 
 
-def test_zero_weight_raises_instead_of_dividing_by_zero():
-    # y**2 = 1e-600 underflows to 0, so the weight sum vanishes
-    with pytest.raises(DegeneratePathError, match="weight sum is zero"):
-        sigma_known_gamma(make_path([1.0, 1e-300]), gamma=1.0, h=0.0)
+def test_underflowing_weight_gives_finite_answer():
+    # y**2 = 1e-600 underflows to 0; the weight summed over its largest term does not
+    path = make_path([1.0, 1e-300])
+    total = float(compute_aux(path, 0.0).v.sum())
+    sigma_sq = Decimal(total) / (Decimal(path.delta) * Decimal(float(path.values[1])) ** 2)
+    sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
+    assert sigma_hat == pytest.approx(float(sigma_sq.sqrt()), rel=1e-12)
+
+
+def test_weight_shift_beyond_double_range_raises_named_error():
+    # the shifted root's factor exp(-shift / 2) = 1e310 is above the largest double
+    with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
+        sigma_known_gamma(make_path([1.0, 1e-310]), gamma=1.0, h=0.0)
 
 
 def test_infinite_weight_gives_finite_answer():

@@ -505,6 +505,21 @@ class TestCsv:
             read_path_csv(dest)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,y\n0,\u0663\n0.5,2\n", "line 2: non-ASCII character U+0663"),  # an Arabic-Indic digit float() reads as 3
+            ("\ufefft,y\n0,1\n0.5,2\n", "line 1: non-ASCII character U+FEFF"),
+            ("t,y\r\n0,1\r\n\r\n0.5,\xff2\r\n", "line 4: non-ASCII character U+00FF"),
+            ("t,y\n0,1\n0.5,2\n1,3\u2028\n", "line 4: non-ASCII character U+2028"),
+        ],
+        ids=["digit", "bom", "crlf", "line-separator"],
+    )
+    def test_non_ascii_character_of_a_stream_names_its_line(self, text, message):
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO(text))
+        assert str(exc.value) == message
+
 
 def _reference_read(src: io.StringIO) -> SamplePath:
     """The per-row reader that read_path_csv replaced, kept as its reference."""
