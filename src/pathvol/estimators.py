@@ -433,11 +433,11 @@ def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
 class Method:
     """One estimation method: its estimator, parameters and estimated coordinates.
 
-    ``function`` is the estimator's name in this module; ``estimate`` looks
-    it up when called, so a wrapper installed on the module attribute sees
-    every call.  ``required`` and ``defaults`` come from the estimator's
-    signature.  ``produces`` lists "sigma" and/or "gamma", default target
-    first.
+    ``function`` is the estimator's name in this module; ``estimate`` and
+    ``EstimatorSpec.estimate`` look it up when called, so a wrapper on the
+    module attribute sees every call.  ``required`` and ``defaults`` come
+    from the estimator's signature.  ``produces`` lists "sigma" and/or
+    "gamma", default target first.
     """
 
     function: str

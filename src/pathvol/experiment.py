@@ -107,7 +107,6 @@ class EstimatorSpec:
         object.__setattr__(self, "_kwargs", kwargs)
 
     def estimate(self, path) -> float:
-        # the parameters are checked; look the estimator up when called, as estimators.estimate does
         result = getattr(estimators, METHODS[self.method].function)(path, **self._kwargs)
         return float(result.sigma_hat if self.target == "sigma" else result.gamma_hat)
 
