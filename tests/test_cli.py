@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pathvol import cli
 from pathvol.cli import _MODEL_FLAGS, build_parser, main
 from pathvol.estimators import EstimateResult
 from pathvol.experiment import TABLE_IDS
@@ -364,8 +365,6 @@ def test_usage_error_shows_the_subcommand_usage(argv, capsys):
 
 def test_main_calls_share_no_parsed_state(monkeypatch):
     # main() parses with one parser; a handler that consumes its arguments in place leaks nothing
-    from pathvol import cli
-
     seen = []
 
     def consume(args, parser):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathvol.model import (
+    _VECTOR_FIELDS,
     AffineDrift,
     DelayDriftSpec,
     ModelSpec,
@@ -140,7 +141,7 @@ class TestSpecValidation:
         [
             ({"b": (1.0, 2.0)}, 0.0, ValueError, "parameter vector 'b' has length 2, expected 1"),
             ({"nu_hat": ()}, 0.0, ValueError, "parameter vector 'nu_hat' has length 0, expected 1"),
-            ({name: () for name in "a b nu c d e a_hat b_hat nu_hat".split()}, 0.0, ValueError,
+            ({name: () for name in _VECTOR_FIELDS}, 0.0, ValueError,
              "drift needs at least one term"),
             # every vector is converted before any length is checked
             ({"a": (), "e": ("x",)}, 0.0, ValueError, "could not convert string to float: 'x'"),
@@ -152,7 +153,7 @@ class TestSpecValidation:
         ids=["long", "short", "no-terms", "convert-first", "none", "negative-delay", "nan-delay", "inf-delay"],
     )
     def test_delay_spec_refusals_in_full(self, vectors, delay, error, message):
-        fields = {name: (0.5,) for name in "a b nu c d e a_hat b_hat nu_hat".split()}
+        fields = {name: (0.5,) for name in _VECTOR_FIELDS}
         with pytest.raises(error) as exc:
             DelayDriftSpec(**{**fields, **vectors}, delay=delay)
         assert str(exc.value) == message
