@@ -185,11 +185,10 @@ def _increment_blocks(path: SamplePath, exponents: list[float]) -> Iterator[tupl
 
 
 def _increment_sums(path: SamplePath, exponents: list[float]) -> np.ndarray:
-    """sum_k v[h, k] for each exponent h."""
+    """sum_k v[h, k] for each exponent h; callers ignore over/invalid warnings and refuse a non-finite sum."""
     sums = np.empty(len(exponents))
-    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite sum
-        for rows, v in _increment_blocks(path, exponents):
-            np.add.reduce(v, axis=1, out=sums[rows])
+    for rows, v in _increment_blocks(path, exponents):
+        np.add.reduce(v, axis=1, out=sums[rows])
     return sums
 
 
@@ -305,13 +304,13 @@ def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) ->
     if h is None:
         h = gamma
     _check(gamma=gamma, h=h)
-    total = float(_increment_sums(path, [h])[0])
-    if total == 0.0:
-        return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
     scale = 2.0 * (gamma - h)
     y = path.values[1:]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_increment_sums(path, [h])[0])
         weight = path.delta * float(np.add.reduce(y**scale))
+    if total == 0.0:
+        return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
     shift = 0.0
     if weight in (0.0, math.inf):  # the terms under- or overflow: sum exp(scale * log y) over its largest term
         log_terms = scale * np.log(y)
@@ -336,12 +335,12 @@ def gamma_ratio_estimate(
     """
     _check(h1=h1, h2=h2, grid_n=grid_n, search_range=search_range)
     grid = _grid(grid_n, search_range)
-    s1, s2 = _increment_sums(path, [h1, h2]).tolist()
-    if s1 == 0.0 or s2 == 0.0:
-        raise DegeneratePathError("constant path: increment sums vanish")
-    rhs = s1 / s2
     scales = 2.0 * (grid - np.array([[h1], [h2]]))
     with np.errstate(over="ignore", invalid="ignore"):  # _search_result refuses a non-finite curve
+        s1, s2 = _increment_sums(path, [h1, h2]).tolist()
+        if s1 == 0.0 or s2 == 0.0:
+            raise DegeneratePathError("constant path: increment sums vanish")
+        rhs = s1 / s2
         sums, shifts = _power_sums(np.log(path.values[1:]), scales)
         objective = np.abs(sums[0] / sums[1] * np.exp(shifts[0] - shifts[1]) - rhs)
     return _search_result(METHOD_GAMMA_RATIO, grid, objective)
@@ -410,7 +409,8 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
     by the window length estimates sigma^2.
     """
     _check(gamma=gamma)
-    total = float(_increment_sums(path, [gamma])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_increment_sums(path, [gamma])[0])
     if not math.isfinite(total):
         raise DegeneratePathError("increment sum is not finite")
     return total
