@@ -9,6 +9,7 @@ estimators are validated against.
 from .auxprocess import AuxSeries, compute_aux, log_modulus_complex_oracle
 from .estimators import (
     EstimateResult,
+    EstimatorSpec,
     NoSolutionError,
     cir_backout,
     cir_mean,
@@ -21,7 +22,6 @@ from .estimators import (
 )
 from .experiment import (
     AllTrialsFailedError,
-    EstimatorSpec,
     ExperimentConfig,
     RandomizedDrift,
     TableReport,

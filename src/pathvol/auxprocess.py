@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import DegeneratePathError, SamplePath
+from .simulate import SamplePath
 
 __all__ = ["AuxSeries", "compute_aux", "log_modulus_complex_oracle"]
 
@@ -47,8 +47,6 @@ def compute_aux(path: SamplePath, h: float) -> AuxSeries:
     if not (0.0 <= h <= 1.0):
         raise ValueError("h must lie in [0, 1]")
     y = path.values
-    if y.size < 2:
-        raise DegeneratePathError("need at least 2 path points")
     prev = y[:-1]
     eta = np.diff(y) / prev**h
     v = np.log1p(eta * eta)

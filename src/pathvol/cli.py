@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    METHOD_INTEGRATED_SIGMA_SQ,
-    METHOD_JOINT_VARIANCE,
-    METHODS,
-    EstimateResult,
-    check_params,
-    estimate,
-)
+from .estimators import METHOD_INTEGRATED_SIGMA_SQ, METHOD_JOINT_VARIANCE, METHODS, EstimateResult, EstimatorSpec
 from .experiment import TABLE_IDS, TABLE_STEPS, reproduce_table
 from .model import MissingKeyError, ModelSpec, format_drift, parse_model_config, sample_delay_drift
 from .simulate import (
@@ -43,6 +36,8 @@ _MODEL_CHOICES = ("cir", "ckls", "random-delay")
 _MODEL_FLAGS = ("model", "a", "b", "sigma", "gamma")
 # short command-line names for two registry methods
 _METHOD_ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA_SQ}
+# every parameter a registered estimator takes; each is the dest of an estimate flag
+_ESTIMATOR_PARAMS = {name for m in METHODS.values() for name in (*m.required, *m.defaults)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,6 +115,8 @@ def _build_model(args, parser: argparse.ArgumentParser, rng: np.random.Generator
 
 
 def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     try:
         cfg = SimConfig(  # y0 = None (--y0-random, or no --y0) samples it uniformly
@@ -154,11 +151,8 @@ def _write_curve(result: EstimateResult, dest: Path) -> None:
 
 def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     method = _METHOD_ALIASES.get(args.method, args.method)
-    params = {name: getattr(args, name) for name in ("gamma", "h", "h1", "h2", "grid_n", "sigma")}
-    if args.search_range is not None:
-        params["search_range"] = tuple(args.search_range)
     try:
-        check_params(method, **params)
+        spec = EstimatorSpec(method, **{name: getattr(args, name) for name in _ESTIMATOR_PARAMS})
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -172,7 +166,7 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         return 2
 
     try:
-        result = estimate(path, method, **params)
+        result = spec.result(path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -189,6 +183,8 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.max_steps is not None and args.max_steps < 2:
         parser.error("--max-steps must be >= 2")
     if args.out is not None and len(args.table) > 1:

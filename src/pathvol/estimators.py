@@ -30,9 +30,10 @@ when delta * sigma**2 is 0 or inf.  A weight sum of sigma_known_gamma that
 overflows or underflows to zero is taken over its largest term instead, so
 such a path still gets a finite estimate where the result itself is one.
 
-``METHODS`` maps each method name to its estimator, and ``estimate(path,
-method, **params)`` is the one dispatcher that experiments and the command
-line share.
+``METHODS`` maps each method name to its estimator.  An ``EstimatorSpec``
+checks the parameters of one method once and then runs it on any number of
+paths; the experiments, the command line and ``estimate(path, method,
+**params)`` all call the estimators through it.
 
 Grid searches scan h in {1/grid_n, 2/grid_n, ..., 1} by default; ties
 resolve to the smallest candidate.  A ``search_range`` (lo, hi) narrows the
@@ -54,7 +55,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .simulate import DegeneratePathError, SamplePath
 
 __all__ = [
     "EstimateResult",
+    "EstimatorSpec",
     "METHODS",
     "NoSolutionError",
     "check_params",
@@ -433,11 +435,10 @@ def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
 class Method:
     """One estimation method: its estimator, parameters and estimated coordinates.
 
-    ``function`` is the estimator's name in this module; ``estimate`` and
-    ``EstimatorSpec.estimate`` look it up when called, so a wrapper on the
-    module attribute sees every call.  ``required`` and ``defaults`` come
-    from the estimator's signature.  ``produces`` lists "sigma" and/or
-    "gamma", default target first.
+    ``function`` is the estimator's name in this module; ``EstimatorSpec.result``
+    looks it up when called, so a wrapper on the module attribute sees every
+    call.  ``required`` and ``defaults`` come from the estimator's signature.
+    ``produces`` lists "sigma" and/or "gamma", the default target first.
     """
 
     function: str
@@ -466,7 +467,7 @@ METHODS = {
 
 
 def check_params(method: str, **params) -> dict[str, object]:
-    """The keyword arguments ``estimate`` passes to the method's estimator.
+    """The keyword arguments an ``EstimatorSpec`` passes to the method's estimator.
 
     None values are dropped, so the estimator's own defaults apply, and so
     are parameters the method does not take.  Raises ValueError for an
@@ -484,10 +485,46 @@ def check_params(method: str, **params) -> dict[str, object]:
     return {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
 
 
+@dataclass(frozen=True, init=False)
+class EstimatorSpec:
+    """One checked estimator call: a registered method, its parameters and its target.
+
+    ``EstimatorSpec(method, target=None, **params)`` checks ``params`` once,
+    as ``check_params`` does, and keeps the estimator's keyword arguments in
+    ``kwargs``; running the spec on a path checks nothing again.  ``target``
+    is the coordinate ``estimate`` returns ("sigma" or "gamma"); by default
+    it follows the method (sigma-known-gamma -> sigma, the gamma searches ->
+    gamma).  joint-variance produces both, so either target is valid for it.
+    """
+
+    method: str
+    target: str
+    kwargs: dict[str, object] = field(hash=False)
+
+    def __init__(self, method: str, target: str | None = None, **params) -> None:
+        kwargs = check_params(method, **params)
+        produces = METHODS[method].produces
+        if target is None:
+            target = produces[0]
+        elif target not in produces:
+            raise ValueError(f"{method} does not estimate {target}")
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "kwargs", kwargs)
+
+    def result(self, path: SamplePath) -> EstimateResult:
+        """The method's result on one path."""
+        return globals()[METHODS[self.method].function](path, **self.kwargs)
+
+    def estimate(self, path: SamplePath) -> float:
+        """The target coordinate of the method's result on one path."""
+        result = self.result(path)
+        return float(result.sigma_hat if self.target == "sigma" else result.gamma_hat)
+
+
 def estimate(path: SamplePath, method: str, **params) -> EstimateResult:
     """Run the registered ``method`` on one path; ``params`` as for ``check_params``."""
-    kwargs = check_params(method, **params)
-    return globals()[METHODS[method].function](path, **kwargs)
+    return EstimatorSpec(method, None, **params).result(path)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +534,7 @@ def estimate(path: SamplePath, method: str, **params) -> EstimateResult:
 def cir_mean(a: float, b: float, y0: float, horizon: float) -> float:
     """E y(T) for the CIR model started at y0: b*(1 - e^{-aT}) + e^{-aT}*y0."""
     e = math.exp(-a * horizon)
-    return b * (1.0 - e) + e * y0
+    return b * -math.expm1(-a * horizon) + e * y0
 
 
 def cir_variance(a: float, b: float, sigma: float, y0: float, horizon: float) -> float:
@@ -507,8 +544,9 @@ def cir_variance(a: float, b: float, sigma: float, y0: float, horizon: float) ->
     the closed form inverted by cir_backout.
     """
     e = math.exp(-a * horizon)
+    one_minus_e = -math.expm1(-a * horizon)  # no cancellation where e rounds to 1
     s2 = sigma * sigma
-    return s2 / (2.0 * a) * b * (1.0 - e) + e * s2 / (a * a) * (1.0 - e) * y0
+    return s2 / (2.0 * a) * b * one_minus_e + e * s2 / (a * a) * one_minus_e * y0
 
 
 _A_BRACKET = (1e-6, 50.0)
@@ -539,8 +577,7 @@ def cir_backout(
         raise ValueError("a_bracket must satisfy 0 < lo < hi")
 
     def b_from_mean(a: float) -> float:
-        e = math.exp(-a * horizon)
-        return (mean_t - e * y0) / (1.0 - e)
+        return (mean_t - math.exp(-a * horizon) * y0) / -math.expm1(-a * horizon)
 
     def residual(a: float) -> float:
         return cir_variance(a, b_from_mean(a), sigma, y0, horizon) - var_t

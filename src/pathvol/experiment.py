@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators
 from .estimators import (
     METHOD_GAMMA_RATIO,
     METHOD_JOINT_VARIANCE,
     METHOD_SIGMA_KNOWN_GAMMA,
-    METHODS,
-    check_params,
+    EstimatorSpec,
 )
 from .model import ModelSpec, sample_delay_drift
 from .simulate import DegeneratePathError, SimConfig, euler_maruyama
@@ -76,65 +74,22 @@ class RandomizedDrift:
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    """Which estimator an experiment runs, with its parameters.
-
-    ``method`` is a key of ``estimators.METHODS``; parameters left at None
-    take the estimator's own defaults.  ``target`` selects which coordinate
-    the error is measured on ("sigma" or "gamma"); by default it follows
-    the method (sigma-known-gamma -> sigma, the gamma searches -> gamma).
-    joint-variance produces both, so either target is valid for it.
-    """
-
-    method: str
-    gamma: float | None = None
-    h: float | None = None
-    h1: float | None = None
-    h2: float | None = None
-    grid_n: int | None = None
-    sigma: float | None = None
-    target: str | None = None
-    search_range: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        names = ("gamma", "h", "h1", "h2", "grid_n", "sigma", "search_range")
-        kwargs = check_params(self.method, **{name: getattr(self, name) for name in names})
-        produces = METHODS[self.method].produces
-        target = self.target if self.target is not None else produces[0]
-        if target not in produces:
-            raise ValueError(f"{self.method} does not estimate {target}")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_kwargs", kwargs)
-
-    def estimate(self, path) -> float:
-        result = getattr(estimators, METHODS[self.method].function)(path, **self._kwargs)
-        return float(result.sigma_hat if self.target == "sigma" else result.gamma_hat)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte-Carlo error experiment.
-
-    sigma_true / gamma_true default to the model's own values; they can be
-    overridden to measure error against a different nominal truth.
-    """
+    """One Monte-Carlo error experiment; errors are measured against the model's own sigma or gamma."""
 
     trials: int
     sim: SimConfig
     model: ModelSpec | RandomizedDrift
     estimator: EstimatorSpec
     master_seed: int | tuple[int, ...] = 0
-    sigma_true: float | None = None
-    gamma_true: float | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
     def truth(self) -> float:
-        if self.estimator.target == "sigma":
-            return self.sigma_true if self.sigma_true is not None else self.model.sigma
-        return self.gamma_true if self.gamma_true is not None else self.model.gamma
+        """The model's coordinate that the estimator targets."""
+        return getattr(self.model, self.estimator.target)
 
 
 @dataclass(frozen=True)

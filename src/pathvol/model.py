@@ -267,7 +267,10 @@ def parse_model_config(text: str) -> ModelSpec:
         drift = AffineDrift(_float_of(pairs, "a"), _float_of(pairs, "b"))
         return ModelSpec(drift=drift, sigma=sigma, gamma=gamma)
     if kind == "random-delay":
-        n = int(_float_of(pairs, "n_terms"))
+        raw = _require(pairs, "n_terms")
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError(f"config key 'n_terms' must be a whole number >= 1, got {raw!r}")
+        n = int(raw)
         vectors = {}
         for name in _VECTOR_FIELDS:
             raw = _require(pairs, f"term_{name}")

@@ -8,7 +8,7 @@ import pytest
 
 from pathvol import cli
 from pathvol.cli import _MODEL_FLAGS, build_parser, main
-from pathvol.estimators import EstimateResult
+from pathvol.estimators import METHODS, EstimateResult
 from pathvol.experiment import TABLE_IDS
 from pathvol.model import ModelSpec, ckls_model, format_model_config, sample_delay_drift
 from pathvol.simulate import read_path_csv
@@ -146,6 +146,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "missing config key 'sigma'" in err and "--sigma" in err and "--config" in err
 
+    @pytest.mark.parametrize("n_terms", ["inf", "nan", "1.7"])
+    def test_bad_term_count_is_usage_error_naming_it(self, tmp_path, capsys, n_terms):
+        spec = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
+        cfg = write_csv(tmp_path, "model.cfg", format_model_config(spec) + f"n_terms={n_terms}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--config", str(cfg), "--y0", "1", "--n", "10", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert "'n_terms'" in capsys.readouterr().err
+
     def test_bad_config_file_is_usage_error(self, tmp_path):
         cfg = write_csv(tmp_path, "model.cfg", "model=banana\n")
         with pytest.raises(SystemExit) as exc:
@@ -273,6 +282,10 @@ class TestEstimate:
         fields = captured.out.strip().splitlines()[1].split(",")
         assert fields[0] == "integrated-sigma-sq" and float(fields[2]) == 0.0
 
+    def test_every_estimator_parameter_is_a_flag(self):
+        dests = set(vars(build_parser().parse_args(["estimate", "--in", "x.csv", "--method", "joint"])))
+        assert {name for m in METHODS.values() for name in (*m.required, *m.defaults)} <= dests
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -361,6 +374,21 @@ def test_usage_error_shows_the_subcommand_usage(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: pathvol {argv[0]} ")
     assert f"pathvol {argv[0]}: error: " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3", "--n", "10", "--out", "x.csv"),
+        ("experiment", "--table", "t1a", "--trials", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_main_calls_share_no_parsed_state(monkeypatch):

@@ -536,6 +536,12 @@ class TestCirMoments:
         assert len(curve) > 100
         assert all(r > 0 for _, r in curve)
 
+    def test_horizon_where_the_discount_rounds_to_one_finds_no_solution(self):
+        # exp(-a * T) == 1.0 on the whole bracket: 1 - exp(-a * T) is taken without cancelling to 0
+        with pytest.raises(NoSolutionError) as err:
+            cir_backout(1.0, 0.01, 0.3, 1.0, 1e-12)
+        assert all(math.isfinite(r) for _, r in err.value.residual_curve)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cir_backout(1.0, -0.1, 0.3, 1.0, 1.0)

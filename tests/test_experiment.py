@@ -121,21 +121,6 @@ class TestRunTrials:
         with pytest.raises(AllTrialsFailedError):
             run_experiment(cfg)
 
-    def test_truth_override(self):
-        cfg = tiny_config(
-            model=ckls_model(1.0, 1.0, 0.3, 0.6),
-            estimator=EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.6),
-        )
-        base = run_trials(cfg)[0]
-        shifted = run_trials(
-            tiny_config(
-                model=ckls_model(1.0, 1.0, 0.3, 0.6),
-                estimator=EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.6),
-                sigma_true=0.25,
-            )
-        )[0]
-        np.testing.assert_allclose(shifted, base + 0.05, rtol=1e-12)
-
     def test_oscillation_scale_zero_is_deterministic_and_differs(self):
         quiet = tiny_config(model=RandomizedDrift(sigma=0.3, gamma=0.6, oscillation_scale=0.0))
         loud = tiny_config(model=RandomizedDrift(sigma=0.3, gamma=0.6, oscillation_scale=2.0))

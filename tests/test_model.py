@@ -281,6 +281,13 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             parse_model_config("model=cir\njunk\n")
 
+    @pytest.mark.parametrize("n_terms", ["inf", "nan", "1.7", "0"])
+    def test_term_count_must_be_a_whole_number_of_at_least_one(self, n_terms):
+        spec = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
+        text = format_model_config(spec)  # a repeated key keeps its last value
+        with pytest.raises(ValueError, match="'n_terms'"):
+            parse_model_config(text + f"n_terms={n_terms}\n")
+
     def test_vector_length_mismatch_reported(self):
         text = (
             "model=random-delay\nn_terms=2\ndelay=0\nsigma=0.3\ngamma=0.6\n"

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pathvol import estimators
+import pathvol
+from pathvol import cli, estimators, experiment
 from pathvol.cli import main
 from pathvol.estimators import (
     METHOD_GAMMA_KNOWN_SIGMA,
@@ -140,6 +141,26 @@ def test_estimator_is_looked_up_when_called(path, monkeypatch):
     estimate(path, METHOD_JOINT_VARIANCE, grid_n=12, sigma=None)
     EstimatorSpec(method=METHOD_JOINT_VARIANCE).estimate(path)
     assert calls == [{"grid_n": 12}, {}]
+
+
+def test_estimator_spec_has_one_home():
+    assert pathvol.EstimatorSpec is estimators.EstimatorSpec is experiment.EstimatorSpec
+
+
+def test_cli_estimate_checks_its_parameters_once(path_csv, monkeypatch, capsys):
+    # a spy wherever a pathvol module refers to check_params
+    calls = []
+    original = estimators.check_params
+
+    def spy(method, **params):
+        calls.append(method)
+        return original(method, **params)
+
+    for module in (estimators, experiment, cli):
+        if getattr(module, "check_params", None) is original:
+            monkeypatch.setattr(module, "check_params", spy)
+    assert main(["estimate", "--in", str(path_csv), "--method", "joint", "--search-range", "0.5", "1"]) == 0
+    assert calls == [METHOD_JOINT_VARIANCE]
 
 
 class TestCheckParams:
