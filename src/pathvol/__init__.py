@@ -50,7 +50,6 @@ from .simulate import (
     SimConfig,
     euler_maruyama,
     read_path_csv,
-    sample_y0,
     write_path_csv,
 )
 

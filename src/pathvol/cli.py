@@ -55,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=float, help="diffusion scale, > 0")
     sim.add_argument("--gamma", type=float, help="diffusion power in [0, 1]")
     sim.add_argument("--n", type=int, required=True, help="number of grid steps on [0, 1]")
-    group = sim.add_mutually_exclusive_group()
-    group.add_argument("--y0", type=float, help="starting value, > 0")
-    group.add_argument("--y0-random", action="store_true", help="draw y0 uniformly from [0.1, 10]")
+    sim.add_argument("--y0", type=float, help="starting value, > 0 (default: drawn uniformly from [0.1, 10])")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--stop-ratio", type=float, default=0.001)
     sim.add_argument("--delay-rule", choices=("scaled", "literal"), default="scaled")
@@ -119,11 +117,10 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     try:
-        cfg = SimConfig(  # y0 = None (--y0-random, or no --y0) samples it uniformly
+        cfg = SimConfig(  # y0 = None (no --y0) draws it from rng
             n_steps=args.n,
             y0=args.y0,
             stop_ratio=args.stop_ratio,
-            seed=args.seed,
             delay_rule=args.delay_rule,
         )
         model = _build_model(args, parser, rng)

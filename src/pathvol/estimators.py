@@ -56,6 +56,7 @@ import inspect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -482,7 +483,10 @@ def check_params(method: str, **params) -> dict[str, object]:
         if name not in given:
             raise ValueError(f"{method} needs its {name} parameter")
     _check(**{**entry.defaults, **given})
-    return {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
+    kwargs = {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
+    if "search_range" in kwargs:  # a tuple, so that a spec holds no list its caller can change
+        kwargs["search_range"] = tuple(map(float, kwargs["search_range"]))
+    return kwargs
 
 
 @dataclass(frozen=True, init=False)
@@ -491,15 +495,20 @@ class EstimatorSpec:
 
     ``EstimatorSpec(method, target=None, **params)`` checks ``params`` once,
     as ``check_params`` does, and keeps the estimator's keyword arguments in
-    ``kwargs``; running the spec on a path checks nothing again.  ``target``
-    is the coordinate ``estimate`` returns ("sigma" or "gamma"); by default
-    it follows the method (sigma-known-gamma -> sigma, the gamma searches ->
-    gamma).  joint-variance produces both, so either target is valid for it.
+    ``kwargs``, a read-only mapping.  Running the spec on a path skips
+    ``check_params``, its check of the method name and of the required
+    parameters; the estimator still checks its argument values, as on any
+    direct call.  ``target`` is the coordinate ``estimate`` returns ("sigma"
+    or "gamma"); by default it follows the method (sigma-known-gamma ->
+    sigma, the gamma searches -> gamma).  joint-variance produces both, so
+    either target is valid for it.
     """
 
     method: str
     target: str
-    kwargs: dict[str, object] = field(hash=False)
+    kwargs: MappingProxyType[str, object] = field(hash=False)
+    # the dict behind kwargs: ** over a dict is cheaper than over a mappingproxy
+    _call_kwargs: dict[str, object] = field(hash=False, compare=False, repr=False)
 
     def __init__(self, method: str, target: str | None = None, **params) -> None:
         kwargs = check_params(method, **params)
@@ -510,11 +519,12 @@ class EstimatorSpec:
             raise ValueError(f"{method} does not estimate {target}")
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kwargs", kwargs)
+        object.__setattr__(self, "kwargs", MappingProxyType(kwargs))
+        object.__setattr__(self, "_call_kwargs", kwargs)
 
     def result(self, path: SamplePath) -> EstimateResult:
         """The method's result on one path."""
-        return globals()[METHODS[self.method].function](path, **self.kwargs)
+        return globals()[METHODS[self.method].function](path, **self._call_kwargs)
 
     def estimate(self, path: SamplePath) -> float:
         """The target coordinate of the method's result on one path."""
@@ -575,6 +585,8 @@ def cir_backout(
     lo, hi = a_bracket
     if not (0.0 < lo < hi):
         raise ValueError("a_bracket must satisfy 0 < lo < hi")
+    if -math.expm1(-lo * horizon) == 0.0:  # b_from_mean would divide by zero
+        raise ValueError(f"horizon {horizon!r} is too small: a * horizon underflows to 0 at a = {lo!r}")
 
     def b_from_mean(a: float) -> float:
         return (mean_t - math.exp(-a * horizon) * y0) / -math.expm1(-a * horizon)

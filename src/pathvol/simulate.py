@@ -6,7 +6,9 @@ Paths are generated by the explicit recursion
                  + sigma * y(t_k)**gamma * sqrt(delta) * xi_{k+1}
 
 with iid standard normal xi, step delta = (horizon - theta) / n_steps and a
-whole-step lag l derived from the drift's delay.  Two guards keep the path
+whole-step lag l derived from the drift's delay.  The generator the caller
+passes is the path's only source of randomness: it draws the starting value
+y0 when the config leaves it unset, then the xi.  Two guards keep the path
 usable by the estimators: any nonpositive produced value is replaced by the
 previous value (counted in ``positivity_fixes``), and the simulation stops
 early the first time the retained value falls to ``stop_ratio`` times the
@@ -37,15 +39,10 @@ __all__ = [
     "SamplePath",
     "SimConfig",
     "euler_maruyama",
-    "sample_y0",
     "write_path_csv",
     "read_path_csv",
     "CsvFormatError",
 ]
-
-Y0_LOW = 0.1
-Y0_HIGH = 10.0
-
 
 class DegeneratePathError(ValueError):
     """Raised when a path carries no usable increment information."""
@@ -92,7 +89,7 @@ class SimConfig:
     """Grid, starting value and stopping parameters for one simulation.
 
     y0 = None means the starting value is drawn uniformly from
-    y0_range (default [0.1, 10]) with the simulation's random generator.
+    y0_range (default [0.1, 10]) with the generator passed to euler_maruyama.
     The benchmark reproductions narrow y0_range per table; see the
     calibration notes in experiment.py.
 
@@ -105,9 +102,8 @@ class SimConfig:
     theta: float = 0.0
     horizon: float = 1.0
     y0: float | None = None
-    y0_range: tuple[float, float] = (Y0_LOW, Y0_HIGH)
+    y0_range: tuple[float, float] = (0.1, 10.0)
     stop_ratio: float = 0.001
-    seed: int = 0
     delay_rule: str = "scaled"
 
     def __post_init__(self) -> None:
@@ -128,11 +124,6 @@ class SimConfig:
     @property
     def delta(self) -> float:
         return (self.horizon - self.theta) / self.n_steps
-
-
-def sample_y0(rng: np.random.Generator, low: float = Y0_LOW, high: float = Y0_HIGH) -> float:
-    """Starting value drawn uniformly from [low, high] (default [0.1, 10])."""
-    return float(rng.uniform(low, high))
 
 
 def _delay_lag(delay: float, delta: float, cfg: SimConfig) -> int:  # delta is cfg.delta
@@ -171,19 +162,16 @@ def _step_loop(n_terms: int) -> Callable[..., int]:
     return compile_source(_LOOP.format(names=names, items=items, drift=drift), "steps")
 
 
-def euler_maruyama(
-    model: ModelSpec, cfg: SimConfig, rng: np.random.Generator | None = None
-) -> SamplePath:
-    """Simulate one path; same (model, cfg, seed) gives the identical path.
+def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -> SamplePath:
+    """Simulate one path; same (model, cfg, generator state) gives the identical path.
 
-    The generator consumes, in order: the starting value (only when
-    cfg.y0 is None) and then n_steps standard normals, so results do not
-    depend on whether the path stops early.  The step arithmetic, on Python
-    floats, is that of calling ``eval_drift`` at every step.
+    ``rng`` is consumed, in order: the starting value
+    ``rng.uniform(*cfg.y0_range)`` (only when cfg.y0 is None) and then
+    n_steps standard normals, so results do not depend on whether the path
+    stops early.  The step arithmetic, on Python floats, is that of calling
+    ``eval_drift`` at every step.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    y0 = float(cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range))
+    y0 = float(cfg.y0 if cfg.y0 is not None else rng.uniform(*cfg.y0_range))
     delta = cfg.delta
     threshold = cfg.stop_ratio * y0
     noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats

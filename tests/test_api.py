@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ MODULES = [
     for info in pkgutil.iter_modules(pathvol.__path__)
     if info.name != "__main__"
 ]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _home(obj):
@@ -42,3 +44,11 @@ def test_package_reexports_are_their_home_objects():
         assert home is not None and home is not pathvol, f"pathvol.{name} has no home module"
         assert getattr(home, name) is obj
         assert name in home.__all__, f"{home.__name__} does not export {name}"
+
+
+def test_readme_library_example_prints_its_commented_values(capsys):
+    # each print line of the example ends in a comment holding the line it prints
+    code = README.read_text().split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.partition("# ")[2] for line in code.splitlines() if line.startswith("print(")]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

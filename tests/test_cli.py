@@ -69,7 +69,7 @@ class TestSimulate:
         out = tmp_path / "path.csv"
         assert run_cli(
             "simulate", "--model", "random-delay", "--sigma", "0.3", "--gamma", "0.6",
-            "--y0-random", "--n", "100", "--seed", "3", "--out", str(out),
+            "--n", "100", "--seed", "3", "--out", str(out),
         ) == 0
         path = read_path_csv(out)
         assert np.all(path.values > 0)
@@ -123,7 +123,7 @@ class TestSimulate:
     def test_random_delay_flag_draws_the_same_drift_over_a_config(self, tmp_path):
         cfg = write_csv(tmp_path, "ckls.cfg", format_model_config(ckls_model(1.0, 2.0, 0.3, 0.6)))
         outs = [tmp_path / "got.csv", tmp_path / "want.csv"]
-        common = ("--model", "random-delay", "--y0-random", "--n", "200", "--seed", "8")
+        common = ("--model", "random-delay", "--n", "200", "--seed", "8")
         assert run_cli("simulate", "--config", str(cfg), *common, "--out", str(outs[0])) == 0
         assert run_cli("simulate", "--sigma", "0.3", "--gamma", "0.6", *common, "--out", str(outs[1])) == 0
         assert outs[0].read_text() == outs[1].read_text()
@@ -165,8 +165,6 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
-             "--y0", "1", "--y0-random", "--n", "10", "--out", "x.csv"),
             ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
              "--n", "1", "--out", "x.csv"),
             ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",

@@ -40,7 +40,7 @@ from pathvol.simulate import DegeneratePathError, SimConfig, euler_maruyama
 
 def simulated_path(n=20_000, gamma=0.6, sigma=0.3, seed=0, y0=1.0):
     model = ckls_model(a=1.0, b=1.0, sigma=sigma, gamma=gamma)
-    return euler_maruyama(model, SimConfig(n_steps=n, y0=y0, seed=seed))
+    return euler_maruyama(model, SimConfig(n_steps=n, y0=y0), np.random.default_rng(seed))
 
 
 class TestSigmaKnownGamma:
@@ -169,7 +169,7 @@ class TestGammaKnownSigma:
         # the power down to the nearest grid point
         for level, seed in ((3.0, 0), (3.0, 1), (0.4, 2)):
             model = ckls_model(a=1.0, b=level, sigma=0.3, gamma=0.6)
-            path = euler_maruyama(model, SimConfig(n_steps=10_000, y0=level, seed=seed))
+            path = euler_maruyama(model, SimConfig(n_steps=10_000, y0=level), np.random.default_rng(seed))
             result = gamma_known_sigma(path, sigma=0.3)
             assert result.gamma_hat == pytest.approx(0.6, abs=1 / 30 + 1e-12)
 
@@ -542,6 +542,12 @@ class TestCirMoments:
             cir_backout(1.0, 0.01, 0.3, 1.0, 1e-12)
         assert all(math.isfinite(r) for _, r in err.value.residual_curve)
 
+    @pytest.mark.parametrize("horizon", [1e-320, 5e-324])
+    def test_subnormal_horizon_is_refused_by_name(self, horizon):
+        # a * horizon underflows to 0 at the bracket's lower end: b has no finite value there
+        with pytest.raises(ValueError, match="horizon"):
+            cir_backout(1.0, 0.01, 0.3, 1.0, horizon)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cir_backout(1.0, -0.1, 0.3, 1.0, 1.0)
@@ -578,7 +584,7 @@ class TestEstimateResult:
 )
 def test_known_power_scale_estimate_is_finite_and_positive(sigma, gamma, seed):
     model = ckls_model(a=1.0, b=1.0, sigma=sigma, gamma=gamma)
-    path = euler_maruyama(model, SimConfig(n_steps=100, y0=1.0, seed=seed))
+    path = euler_maruyama(model, SimConfig(n_steps=100, y0=1.0), np.random.default_rng(seed))
     result = sigma_known_gamma(path, gamma=gamma, h=gamma)
     assert result.sigma_hat is not None
     if not result.degenerate:

@@ -33,7 +33,8 @@ NARROW = (0.5, 1.0)
 @pytest.fixture(scope="module")
 def path_csv(tmp_path_factory):
     """A simulated N = 2 000 path, written once; tests use the path read back."""
-    path = euler_maruyama(ckls_model(a=1.0, b=1.0, sigma=0.3, gamma=0.6), SimConfig(n_steps=2000, y0=1.0, seed=21))
+    model = ckls_model(a=1.0, b=1.0, sigma=0.3, gamma=0.6)
+    path = euler_maruyama(model, SimConfig(n_steps=2000, y0=1.0), np.random.default_rng(21))
     dest = tmp_path_factory.mktemp("registry") / "path.csv"
     write_path_csv(path, dest)
     return dest
@@ -145,6 +146,20 @@ def test_estimator_is_looked_up_when_called(path, monkeypatch):
 
 def test_estimator_spec_has_one_home():
     assert pathvol.EstimatorSpec is estimators.EstimatorSpec is experiment.EstimatorSpec
+
+
+def test_spec_kwargs_are_read_only():
+    spec = EstimatorSpec(METHOD_JOINT_VARIANCE, grid_n=12)
+    with pytest.raises(TypeError):
+        spec.kwargs["grid_n"] = 1
+    assert spec.kwargs == {"grid_n": 12}
+
+
+def test_list_and_tuple_search_range_build_equal_specs():
+    as_list = EstimatorSpec(METHOD_JOINT_VARIANCE, search_range=[0.5, 1.0])
+    as_tuple = EstimatorSpec(METHOD_JOINT_VARIANCE, search_range=(0.5, 1.0))
+    assert as_list == as_tuple
+    assert as_list.kwargs["search_range"] == (0.5, 1.0)
 
 
 def test_cli_estimate_checks_its_parameters_once(path_csv, monkeypatch, capsys):

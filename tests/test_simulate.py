@@ -19,7 +19,6 @@ from pathvol.simulate import (
     SimConfig,
     euler_maruyama,
     read_path_csv,
-    sample_y0,
     write_path_csv,
 )
 
@@ -97,16 +96,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
-    def test_sample_y0_default_range_and_mean(self):
+    def test_sampled_start_default_range_and_mean(self):
+        model = cir_model(1.0, 1.0, 0.3)
+        cfg = SimConfig(n_steps=2)  # y0 = None, default y0_range
         rng = np.random.default_rng(3)
-        draws = np.array([sample_y0(rng) for _ in range(10_000)])
-        assert np.all((draws >= 0.1) & (draws <= 10.0))
-        assert abs(draws.mean() - 5.05) < 0.1
-
-    def test_sample_y0_custom_range(self):
-        rng = np.random.default_rng(4)
-        draws = [sample_y0(rng, 0.5, 0.6) for _ in range(100)]
-        assert all(0.5 <= d <= 0.6 for d in draws)
+        starts = np.array([euler_maruyama(model, cfg, rng).values[0] for _ in range(10_000)])
+        assert np.all((starts >= 0.1) & (starts <= 10.0))
+        assert abs(starts.mean() - 5.05) < 0.1
 
 
 class TestRecursion:
@@ -123,28 +119,32 @@ class TestRecursion:
 
     def test_noiseless_mean_reversion_monotone(self):
         model = ckls_model(a=1.0, b=1.0, sigma=0.0, gamma=0.5)
-        path = euler_maruyama(model, SimConfig(n_steps=50, y0=4.0))
+        path = euler_maruyama(model, SimConfig(n_steps=50, y0=4.0), np.random.default_rng(0))
         assert np.all(np.diff(path.values) < 0)
         assert path.values[-1] > 1.0  # approaches but never crosses the level
 
-        path_up = euler_maruyama(model, SimConfig(n_steps=50, y0=0.25))
+        path_up = euler_maruyama(model, SimConfig(n_steps=50, y0=0.25), np.random.default_rng(0))
         assert np.all(np.diff(path_up.values) > 0)
         assert path_up.values[-1] < 1.0
 
     def test_same_seed_same_path_bitwise(self):
         model = ckls_model(1.0, 1.0, 0.3, 0.6)
-        cfg = SimConfig(n_steps=200, seed=42)
-        a = euler_maruyama(model, cfg)
-        b = euler_maruyama(model, cfg)
+        cfg = SimConfig(n_steps=200)
+        a = euler_maruyama(model, cfg, np.random.default_rng(42))
+        b = euler_maruyama(model, cfg, np.random.default_rng(42))
         assert np.array_equal(a.values, b.values)
         assert (a.theta, a.delta, a.m0, a.stopped_early, a.positivity_fixes) == (
             b.theta, b.delta, b.m0, b.stopped_early, b.positivity_fixes,
         )
 
+    def test_generator_is_required(self):
+        with pytest.raises(TypeError):
+            euler_maruyama(ckls_model(1.0, 1.0, 0.3, 0.6), SimConfig(n_steps=10, y0=1.0))
+
     def test_different_seeds_differ(self):
         model = ckls_model(1.0, 1.0, 0.3, 0.6)
-        a = euler_maruyama(model, SimConfig(n_steps=200, seed=1))
-        b = euler_maruyama(model, SimConfig(n_steps=200, seed=2))
+        a = euler_maruyama(model, SimConfig(n_steps=200), np.random.default_rng(1))
+        b = euler_maruyama(model, SimConfig(n_steps=200), np.random.default_rng(2))
         assert not np.array_equal(a.values, b.values)
 
     def test_sampled_start_uses_configured_range(self):
@@ -160,8 +160,8 @@ class TestRecursion:
         model = ModelSpec(drift=DelayDriftSpec(
             a=(5.0,), b=(0.0,), nu=(0.5,), c=(0.0,), d=(0.0,), e=(0.0,),
             a_hat=(0.0,), b_hat=(0.0,), nu_hat=(0.0,)), sigma=0.05, gamma=0.5)
-        stopping = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0, stop_ratio=0.2, seed=5))
-        full = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-9, seed=5))
+        stopping = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0, stop_ratio=0.2), np.random.default_rng(5))
+        full = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-9), np.random.default_rng(5))
         assert stopping.stopped_early and not full.stopped_early
         k = len(stopping.values)
         assert k < len(full.values)
@@ -172,7 +172,7 @@ class TestRecursion:
         model = ModelSpec(drift=DelayDriftSpec(
             a=(10.0,), b=(0.0,), nu=(0.5,), c=(0.0,), d=(0.0,), e=(0.0,),
             a_hat=(0.0,), b_hat=(0.0,), nu_hat=(0.0,)), sigma=0.0, gamma=0.5)
-        path = euler_maruyama(model, SimConfig(n_steps=100, y0=1.0))
+        path = euler_maruyama(model, SimConfig(n_steps=100, y0=1.0), np.random.default_rng(0))
         assert path.stopped_early
         assert path.values[-1] <= 0.001 * 1.0
         assert path.values[-2] > 0.001 * 1.0
@@ -182,7 +182,7 @@ class TestRecursion:
         # enormous noise forces nonpositive proposals; the path must stay
         # positive and report how often the guard fired
         model = ckls_model(a=0.0, b=0.0, sigma=50.0, gamma=0.5)
-        path = euler_maruyama(model, SimConfig(n_steps=300, y0=1.0, seed=9))
+        path = euler_maruyama(model, SimConfig(n_steps=300, y0=1.0), np.random.default_rng(9))
         assert np.all(path.values > 0)
         assert path.positivity_fixes > 0
 
@@ -193,11 +193,12 @@ class TestRecursion:
         )
         model = ModelSpec(drift=drift, sigma=0.0, gamma=0.5)
         # scaled: lag = floor(0.1 / (1/100)) = 10 steps; literal: 0 steps
-        scaled = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0, delay_rule="scaled"))
-        literal = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0, delay_rule="literal"))
+        scaled = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0, delay_rule="scaled"), np.random.default_rng(0))
+        literal = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0, delay_rule="literal"), np.random.default_rng(0))
         no_delay = euler_maruyama(
             ModelSpec(drift=dataclasses.replace(drift, delay=0.0), sigma=0.0, gamma=0.5),
             SimConfig(n_steps=100, y0=2.0),
+            np.random.default_rng(0),
         )
         assert np.array_equal(literal.values, no_delay.values)
         assert not np.array_equal(scaled.values, no_delay.values)
@@ -209,7 +210,7 @@ class TestRecursion:
             a_hat=(1.0,), b_hat=(0.0,), nu_hat=(0.5,), delay=0.5,
         )
         model = ModelSpec(drift=drift, sigma=0.0, gamma=0.5)
-        path = euler_maruyama(model, SimConfig(n_steps=10, y0=2.0))
+        path = euler_maruyama(model, SimConfig(n_steps=10, y0=2.0), np.random.default_rng(0))
         # lag = 5; during warmup each step subtracts 0.1 * 2.0**1 * delta
         delta = 0.1
         expected = 2.0
@@ -229,7 +230,7 @@ class TestRecursion:
 )
 def test_paths_always_positive(a, b, sigma, gamma, y0, seed):
     model = ckls_model(a, b, sigma, gamma)
-    path = euler_maruyama(model, SimConfig(n_steps=60, y0=y0, seed=seed))
+    path = euler_maruyama(model, SimConfig(n_steps=60, y0=y0), np.random.default_rng(seed))
     assert np.all(path.values > 0)
     assert np.all(np.isfinite(path.values))
 
@@ -238,13 +239,14 @@ def test_paths_always_positive(a, b, sigma, gamma, y0, seed):
 @given(seed=st.integers(0, 2**16))
 def test_simulation_determinism_property(seed):
     model = ckls_model(1.0, 1.0, 0.3, 0.6)
-    cfg = SimConfig(n_steps=50, seed=seed)
-    assert np.array_equal(euler_maruyama(model, cfg).values, euler_maruyama(model, cfg).values)
+    cfg = SimConfig(n_steps=50)
+    a = euler_maruyama(model, cfg, np.random.default_rng(seed))
+    assert np.array_equal(a.values, euler_maruyama(model, cfg, np.random.default_rng(seed)).values)
 
 
 def reference_euler(model, cfg, rng):
     """The step loop written plainly: eval_drift per step, np.float64 noise."""
-    y0 = cfg.y0 if cfg.y0 is not None else sample_y0(rng, *cfg.y0_range)
+    y0 = cfg.y0 if cfg.y0 is not None else float(rng.uniform(*cfg.y0_range))
     delay = getattr(model.drift, "delay", 0.0)
     if cfg.delay_rule == "scaled":
         lag = math.floor(delay / cfg.delta)
@@ -278,9 +280,9 @@ def _bitwise_cases():
     return cases
 
 
-def _assert_matches_reference(model, cfg):
-    path = euler_maruyama(model, cfg)
-    values, stopped, fixes = reference_euler(model, cfg, np.random.default_rng(cfg.seed))
+def _assert_matches_reference(model, cfg, seed):
+    path = euler_maruyama(model, cfg, np.random.default_rng(seed))
+    values, stopped, fixes = reference_euler(model, cfg, np.random.default_rng(seed))
     assert np.array_equal(path.values, values)
     assert (path.stopped_early, path.positivity_fixes) == (stopped, fixes)
     return path
@@ -290,17 +292,17 @@ def _assert_matches_reference(model, cfg):
 def test_simulator_matches_reference_recursion_bitwise(n_steps):
     for i, (model, rule) in enumerate(_bitwise_cases()):
         for seed in range(3):
-            _assert_matches_reference(model, SimConfig(n_steps=n_steps, delay_rule=rule, seed=100 * i + seed))
+            _assert_matches_reference(model, SimConfig(n_steps=n_steps, delay_rule=rule), 100 * i + seed)
 
 
 def test_guarded_steps_match_reference_recursion_bitwise():
     drift = sample_delay_drift(np.random.default_rng(7))
     # a 5-term delay drift under sqrt noise that first needs fixes, then stops
     guarded = _assert_matches_reference(
-        ModelSpec(drift=drift, sigma=3.0, gamma=0.5), SimConfig(n_steps=2000, y0=1.0, seed=0)
+        ModelSpec(drift=drift, sigma=3.0, gamma=0.5), SimConfig(n_steps=2000, y0=1.0), 0
     )
     assert drift.n_terms == 5 and guarded.stopped_early and guarded.positivity_fixes > 0
-    fixed = _assert_matches_reference(ckls_model(0.5, 1.0, 50.0, 0.5), SimConfig(n_steps=300, y0=1.0, seed=9))
+    fixed = _assert_matches_reference(ckls_model(0.5, 1.0, 50.0, 0.5), SimConfig(n_steps=300, y0=1.0), 9)
     assert fixed.positivity_fixes > 0
 
 
@@ -321,10 +323,11 @@ def test_each_delay_drift_shape_matches_reference_bitwise(n_terms, rule):
     rng = np.random.default_rng(n_terms)
     for lag in (0, 7, 300, 1000, 1, 299):
         for gamma in (0.0, 0.5, 1.0):
-            cfg = SimConfig(n_steps=300, horizon=30.0, delay_rule=rule, seed=int(rng.integers(2**31)))
+            seed = int(rng.integers(2**31))
+            cfg = SimConfig(n_steps=300, horizon=30.0, delay_rule=rule)
             delay = _delay_for_lag(cfg, lag) if lag else 0.0
             drift = DelayDriftSpec(*rng.uniform(0.0, 1.0, size=(9, n_terms)), delay=delay)
-            _assert_matches_reference(ModelSpec(drift=drift, sigma=0.5, gamma=gamma), cfg)
+            _assert_matches_reference(ModelSpec(drift=drift, sigma=0.5, gamma=gamma), cfg, seed)
 
 
 @pytest.mark.parametrize("rule", ["scaled", "literal"])
@@ -332,12 +335,12 @@ def test_each_delay_drift_shape_matches_reference_bitwise(n_terms, rule):
 def test_early_stop_in_each_phase_matches_reference_bitwise(rule, lag):
     # every term pulls toward zero: the path falls below 0.001 * y0 at step 69
     # with lag 150 (still reading y0 as the delayed state) and at step 101 with lag 20
-    cfg = SimConfig(n_steps=200, y0=1.0, delay_rule=rule, seed=11)
+    cfg = SimConfig(n_steps=200, y0=1.0, delay_rule=rule)
     drift = DelayDriftSpec(
         a=(10.0, 0.5, 0.2), b=(0.0,) * 3, nu=(0.5, 0.2, 0.0), c=(0.0,) * 3, d=(1.0,) * 3, e=(0.0,) * 3,
         a_hat=(1.0, 0.5, 0.3), b_hat=(0.0,) * 3, nu_hat=(0.5,) * 3, delay=_delay_for_lag(cfg, lag),
     )
-    path = _assert_matches_reference(ModelSpec(drift=drift, sigma=0.05, gamma=0.5), cfg)
+    path = _assert_matches_reference(ModelSpec(drift=drift, sigma=0.05, gamma=0.5), cfg, 11)
     steps = len(path.values) - 1
     assert path.stopped_early
     assert (steps <= lag) if lag == 150 else (steps > lag)
@@ -345,10 +348,10 @@ def test_early_stop_in_each_phase_matches_reference_bitwise(rule, lag):
 
 @pytest.mark.parametrize("rule", ["scaled", "literal"])
 def test_positivity_fixes_in_both_phases_match_reference_bitwise(rule):
-    cfg = SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-6, delay_rule=rule, seed=0)
+    cfg = SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-6, delay_rule=rule)
     lag = 200
     drift = DelayDriftSpec(*np.random.default_rng(0).uniform(0.0, 1.0, size=(9, 4)), delay=_delay_for_lag(cfg, lag))
-    path = _assert_matches_reference(ModelSpec(drift=drift, sigma=20.0, gamma=0.5), cfg)
+    path = _assert_matches_reference(ModelSpec(drift=drift, sigma=20.0, gamma=0.5), cfg, 0)
     fixed_steps = np.flatnonzero(path.values[1:] == path.values[:-1])  # step k kept values[k]
     assert len(fixed_steps) == path.positivity_fixes
     assert fixed_steps.min() < lag <= fixed_steps.max()
@@ -625,7 +628,7 @@ def test_reader_matches_reference_on_mutated_rows(path, mutations):
 
 
 def test_reader_matches_reference_on_a_simulated_path():
-    path = euler_maruyama(ckls_model(1.0, 1.0, 0.3, 0.6), SimConfig(n_steps=10_000, y0=1.0, seed=3))
+    path = euler_maruyama(ckls_model(1.0, 1.0, 0.3, 0.6), SimConfig(n_steps=10_000, y0=1.0), np.random.default_rng(3))
     text = _csv_text(path)
     back = read_path_csv(io.StringIO(text))
     assert np.array_equal(back.values, _reference_read(io.StringIO(text)).values)
