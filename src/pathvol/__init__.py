@@ -26,9 +26,8 @@ from .experiment import (
     RandomizedDrift,
     TableReport,
     TrialStats,
-    bootstrap_rmse_se,
-    error_stats,
     reproduce_table,
+    rmse_se,
     run_experiment,
     run_trials,
 )

@@ -5,10 +5,10 @@ flag given (--model, --a, --b, --sigma, --gamma) is the config line of the same
 name, read after the --config file's lines, so it overrides or completes the
 file; --model random-delay then adds the lines of a drift drawn from the seed.
 
-Exit codes: 0 success, 1 runtime failure (a simulation that fails or cannot
-be written, a degenerate input path), 2 usage errors (bad flags or flag
-values, a model or simulation parameter that the model or SimConfig
-refuses, malformed input files).
+Exit codes: 0 success, 1 runtime failure (a simulation that fails, an
+output file that cannot be written, a degenerate input path), 2 usage
+errors (bad flags or flag values, a model or simulation parameter that the
+model or SimConfig refuses, malformed input files).
 """
 from __future__ import annotations
 
@@ -141,7 +141,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
 
 def _write_curve(result: EstimateResult, dest: Path) -> None:
     lines = ["h,objective"]
-    for h, obj in result.objective_curve or ():
+    for h, obj in result.objective_curve:
         lines.append(f"{h:.17g},{obj:.17g}")
     dest.write_text("\n".join(lines) + "\n")
 
@@ -164,7 +164,9 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 
     try:
         result = spec.result(path)
-    except ValueError as exc:
+        if args.curve is not None and result.grid is not None:
+            _write_curve(result, args.curve)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -172,8 +174,6 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         print("warning: zero-variance path; sigma estimate is 0", file=sys.stderr)
     print(EstimateResult.CSV_HEADER)
     print(result.to_csv_row())
-    if args.curve is not None and result.objective_curve is not None:
-        _write_curve(result, args.curve)
     return 0
 
 
@@ -201,13 +201,13 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
             report = reproduce_table(
                 table_id, trials=args.trials, master_seed=args.seed, n_steps_filter=steps
             )
-        except (ValueError, RuntimeError) as exc:
+            print(report.format_text() + "\n")
+            print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+            if args.out is not None:
+                args.out.write_text(report.to_csv())
+        except (ValueError, OSError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(report.format_text() + "\n")
-        print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-        if args.out is not None:
-            args.out.write_text(report.to_csv())
     return 0
 
 

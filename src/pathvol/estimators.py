@@ -21,7 +21,10 @@ kernel that computes the same values):
   (the joint_estimate spread plus a term matching mean(v[h])/delta to
   sigma**2).
 * integrated_sigma_sq: sum_k v[gamma, k] estimates the integral of
-  sigma(s)^2 ds over the observation window (time-dependent scale).
+  sigma(s)^2 ds over the observation window (time-dependent scale).  Over
+  the window, delta * m for m increments, it is sigma_known_gamma's sigma^2
+  at h = gamma, so the integrated-sigma-sq method returns that estimator's
+  result under its own name.
 
 A sigma estimate that a path cannot give as a finite number (an
 increment sum or quotient that overflows) raises DegeneratePathError, as
@@ -54,8 +57,9 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -109,20 +113,33 @@ class NoSolutionError(RuntimeError):
 class EstimateResult:
     """Outcome of one estimator on one path.
 
-    ``objective_curve`` holds (candidate, objective) pairs for grid-search
-    methods, for diagnostics.  ``degenerate`` flags a zero-variance path on
-    which the estimate is the trivial sigma = 0.
+    A grid search keeps its candidates in ``grid`` and their objective
+    values in ``objective``, read-only arrays that ``==`` and ``hash`` leave
+    out; ``grid_n``, ``objective_min`` and ``objective_curve`` (the
+    (candidate, objective) pairs) are read from them.  ``degenerate`` flags
+    a zero-variance path on which the estimate is the trivial sigma = 0.
     """
 
     method: str
     gamma_hat: float | None = None
     sigma_hat: float | None = None
-    grid_n: int | None = None
-    objective_min: float | None = None
-    objective_curve: tuple[tuple[float, float], ...] | None = None
+    grid: np.ndarray | None = field(default=None, compare=False)
+    objective: np.ndarray | None = field(default=None, compare=False)
     degenerate: bool = False
 
     CSV_HEADER = "method,gamma_hat,sigma_hat,grid_n,objective_min"
+
+    @property
+    def grid_n(self) -> int | None:
+        return None if self.grid is None else len(self.grid)
+
+    @property
+    def objective_min(self) -> float | None:
+        return None if self.objective is None else float(self.objective.min())
+
+    @property
+    def objective_curve(self) -> tuple[tuple[float, float], ...] | None:
+        return None if self.grid is None else tuple(zip(self.grid.tolist(), self.objective.tolist()))
 
     def to_csv_row(self) -> str:
         def fmt(x: float | int | None) -> str:
@@ -152,8 +169,8 @@ def _check(
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be > 0")
-    if grid_n is not None and grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
+    if grid_n is not None and (isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral) or grid_n < 2):
+        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
     if search_range is not None and not 0.0 <= search_range[0] < search_range[1] <= 1.0:
         raise ValueError("search_range must satisfy 0 <= lo < hi <= 1")
     if h1 is not None and h1 == h2:
@@ -287,13 +304,13 @@ def _search_result(
         candidate = float(grid[int(finite.argmin())])
         raise DegeneratePathError(f"objective is not finite at candidate {candidate:.17g}")
     best = int(objective.argmin())
+    grid.flags.writeable = objective.flags.writeable = False
     return EstimateResult(
         method=method,
         gamma_hat=float(grid[best]),
         sigma_hat=None if v_bars is None else _sigma_hat(float(v_bars[best]), delta),
-        grid_n=grid.size,
-        objective_min=float(objective[best]),
-        objective_curve=tuple(zip(grid.tolist(), objective.tolist())),
+        grid=grid,
+        objective=objective,
     )
 
 
@@ -420,12 +437,8 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
 
 
 def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
-    """sigma from integrated_sigma_sq over the window; a constant path gives 0, flagged degenerate."""
-    total = integrated_sigma_sq(path, gamma)
-    if total == 0.0:
-        return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=0.0, degenerate=True)
-    window = path.delta * (len(path.values) - 1)
-    return EstimateResult(method=METHOD_INTEGRATED_SIGMA_SQ, sigma_hat=_sigma_hat(total, window))
+    """sigma from integrated_sigma_sq over the window: sigma_known_gamma at h = gamma, bit for bit."""
+    return replace(sigma_known_gamma(path, gamma), method=METHOD_INTEGRATED_SIGMA_SQ)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +520,6 @@ class EstimatorSpec:
     method: str
     target: str
     kwargs: MappingProxyType[str, object] = field(hash=False)
-    # the dict behind kwargs: ** over a dict is cheaper than over a mappingproxy
-    _call_kwargs: dict[str, object] = field(hash=False, compare=False, repr=False)
 
     def __init__(self, method: str, target: str | None = None, **params) -> None:
         kwargs = check_params(method, **params)
@@ -520,11 +531,10 @@ class EstimatorSpec:
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "kwargs", MappingProxyType(kwargs))
-        object.__setattr__(self, "_call_kwargs", kwargs)
 
     def result(self, path: SamplePath) -> EstimateResult:
         """The method's result on one path."""
-        return globals()[METHODS[self.method].function](path, **self._call_kwargs)
+        return globals()[METHODS[self.method].function](path, **self.kwargs)
 
     def estimate(self, path: SamplePath) -> float:
         """The target coordinate of the method's result on one path."""

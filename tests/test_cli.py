@@ -1,11 +1,16 @@
 """End-to-end command line tests driven through cli.main(argv)."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathvol
 from pathvol import cli
 from pathvol.cli import _MODEL_FLAGS, build_parser, main
 from pathvol.estimators import METHODS, EstimateResult
@@ -258,6 +263,13 @@ class TestEstimate:
         ) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_unwritable_curve_exit_1(self, tmp_path, capsys):
+        src = write_csv(tmp_path, "path.csv", "t,y\n0,1\n0.5,1.2\n1,0.9\n")
+        curve = tmp_path / "missing" / "c.csv"
+        assert run_cli("estimate", "--in", str(src), "--method", "joint", "--curve", str(curve)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "c.csv" in err
+
     def test_constant_path_exit_1(self, tmp_path, capsys):
         src = write_csv(tmp_path, "flat.csv", "t,y\n0,5\n0.5,5\n1,5\n")
         assert run_cli("estimate", "--in", str(src), "--method", "joint") == 1
@@ -419,6 +431,12 @@ class TestExperiment:
         assert lines[0] == "row_id,rmse,mae,bias,paper_rmse,paper_mae,paper_bias,ratio"
         assert len(lines) == 5
 
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        assert run_cli("experiment", "--table", "t1a", "--trials", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and "t.csv" in err
+
     def test_trials_must_be_positive(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--table", "t1b", "--trials", "0")
@@ -449,3 +467,16 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--max-steps", max_steps, "--trials", "1")
         assert exc.value.code == 2
+
+
+def test_python_m_pathvol_runs_the_command_line(tmp_path):
+    src = str(Path(pathvol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pathvol", *argv], env=env, capture_output=True, text=True)
+
+    table = run("experiment", "--table", "t1a", "--trials", "2")
+    assert table.returncode == 0 and "table t1a (2 trials per row)" in table.stdout
+    missing = run("estimate", "--in", str(tmp_path / "nope.csv"), "--method", "joint")
+    assert missing.returncode == 2 and "cannot read" in missing.stderr

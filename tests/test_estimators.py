@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from pathvol.estimators import (
     _power_sums,
     METHODS,
     EstimateResult,
+    EstimatorSpec,
     NoSolutionError,
     cir_backout,
     cir_mean,
@@ -82,6 +84,15 @@ class TestSigmaKnownGamma:
             sigma_known_gamma(path, gamma=0.5, h=-0.2)
 
 
+def assert_grid_n_refused(search, method, **params):
+    # fewer than two candidates, a fraction (2.5 would scan 0.4, 0.8 and 1.2), a float and a bool
+    for grid_n in (1, 2.5, 4.0, True):
+        with pytest.raises(ValueError, match="grid_n"):
+            search(make_path([1.0, 2.0, 3.0]), grid_n=grid_n, **params)
+        with pytest.raises(ValueError, match="grid_n"):
+            EstimatorSpec(method, grid_n=grid_n, **params)
+
+
 class TestGammaRatio:
     def test_candidates_come_from_the_grid(self):
         path = simulated_path(n=500, seed=1)
@@ -116,8 +127,7 @@ class TestGammaRatio:
                 gamma_ratio_estimate(path, search_range=rng)
 
     def test_small_grid_rejected(self):
-        with pytest.raises(ValueError, match="grid_n"):
-            gamma_ratio_estimate(make_path([1.0, 2.0, 3.0]), grid_n=1)
+        assert_grid_n_refused(gamma_ratio_estimate, "gamma-ratio")
 
     def test_constant_path_raises(self):
         with pytest.raises(DegeneratePathError):
@@ -156,6 +166,9 @@ class TestJointEstimate:
     def test_curve_length_matches_grid(self):
         result = joint_estimate(simulated_path(n=300, seed=9), grid_n=12)
         assert len(result.objective_curve) == 12
+
+    def test_small_grid_rejected(self):
+        assert_grid_n_refused(joint_estimate, "joint-variance")
 
 
 class TestGammaKnownSigma:
@@ -200,6 +213,9 @@ class TestGammaKnownSigma:
     def test_requires_positive_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             gamma_known_sigma(make_path([1.0, 2.0]), sigma=0.0)
+
+    def test_small_grid_rejected(self):
+        assert_grid_n_refused(gamma_known_sigma, "gamma-known-sigma", sigma=0.3)
 
 
 @pytest.mark.parametrize(
@@ -472,6 +488,37 @@ def test_sigma_known_gamma_without_overflow_is_the_plain_quotient(values, gamma,
         assert result.sigma_hat == math.sqrt(total / weight)
 
 
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _sigma_outcome(call):
+    try:
+        result = call()
+    except DegeneratePathError as exc:
+        return str(exc)
+    return result.sigma_hat, result.degenerate
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(positive_floats, min_size=2, max_size=8),
+        st.tuples(positive_floats, st.integers(2, 8)).map(lambda vn: [vn[0]] * vn[1]),  # constant
+        st.lists(st.sampled_from([1.0, 1e200, 5e-324, 1e-300]), min_size=2, max_size=6),  # overflowing
+    ),
+    delta=st.sampled_from([0.01, 1.0, 1e-310, 1e300]),
+    gamma=st.floats(0.0, 1.0),
+)
+def test_integrated_method_is_sigma_known_gamma_at_h_gamma(values, delta, gamma):
+    path = make_path(values, delta=delta)
+    outcome = _sigma_outcome(lambda: estimate(path, "integrated-sigma-sq", gamma=gamma))
+    assert outcome == _sigma_outcome(lambda: sigma_known_gamma(path, gamma=gamma))
+    if isinstance(outcome, tuple) and not outcome[1]:
+        # the integral over the window, as the method's own sum
+        window = path.delta * (len(values) - 1)
+        assert outcome[0] == math.sqrt(integrated_sigma_sq(path, gamma=gamma) / window)
+
+
 class TestIntegratedSigmaSq:
     def test_matches_series_sum(self):
         path = simulated_path(n=500, seed=11)
@@ -563,7 +610,7 @@ class TestCirMoments:
 
 class TestEstimateResult:
     def test_csv_row_full_precision(self):
-        result = EstimateResult(method="joint-variance", gamma_hat=0.6, sigma_hat=1 / 3, grid_n=30)
+        result = EstimateResult(method="joint-variance", gamma_hat=0.6, sigma_hat=1 / 3, grid=np.arange(1, 31) / 30)
         row = result.to_csv_row()
         assert row.startswith("joint-variance,0.59999999999999998,0.33333333333333331,30,")
 
@@ -574,6 +621,25 @@ class TestEstimateResult:
     def test_header_matches_row_arity(self):
         row = EstimateResult(method="x").to_csv_row()
         assert row.count(",") == EstimateResult.CSV_HEADER.count(",")
+
+    def test_search_arrays_are_read_only(self):
+        result = joint_estimate(simulated_path(n=300, seed=9), grid_n=12)
+        for array in (result.grid, result.objective):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_equality_leaves_the_arrays_out(self):
+        path = simulated_path(n=300, seed=9)
+        result = gamma_ratio_estimate(path, grid_n=20)
+        assert result == gamma_ratio_estimate(path, grid_n=20)
+        assert result == replace(result, objective=result.objective + 1.0)
+        assert hash(result) == hash(replace(result, grid=None, objective=None))
+
+    def test_properties_read_the_arrays(self):
+        result = gamma_ratio_estimate(simulated_path(n=300, seed=9), grid_n=20)
+        assert result.grid_n == 20 and isinstance(result.grid_n, int)
+        assert result.objective_min == float(result.objective[np.argmin(result.objective)])
+        assert result.objective_curve == tuple(zip(result.grid.tolist(), result.objective.tolist()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -590,9 +656,6 @@ def test_known_power_scale_estimate_is_finite_and_positive(sigma, gamma, seed):
     if not result.degenerate:
         assert result.sigma_hat > 0
         assert math.isfinite(result.sigma_hat)
-
-
-positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ from pathvol.experiment import (
     ExperimentConfig,
     RandomizedDrift,
     TABLE_IDS,
-    bootstrap_rmse_se,
-    error_stats,
     reproduce_table,
+    rmse_se,
     run_experiment,
     run_trials,
 )
@@ -43,31 +43,25 @@ def tiny_config(**overrides):
 
 
 class TestErrorStats:
+    """_aggregate, the one summary of a row's errors."""
+
     def test_frozen_oracle(self):
-        stats = error_stats([0.3, 0.1], [0.0, 0.0])
+        stats = experiment._aggregate(np.array([0.3, 0.1]), 0)
         assert stats.rmse == pytest.approx(0.22360679774997896, rel=1e-15)
         assert stats.mae == pytest.approx(0.2, rel=1e-14)
         assert stats.bias == pytest.approx(0.2, rel=1e-14)
         assert stats.n_effective == 2 and stats.failures == 0
 
     def test_signs_cancel_in_bias_not_in_rmse(self):
-        stats = error_stats([0.1, -0.1], [0.0, 0.0])
+        stats = experiment._aggregate(np.array([0.1, -0.1]), 0)
         assert stats.bias == 0.0
         assert stats.rmse == pytest.approx(0.1, rel=1e-14)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            error_stats([1.0], [1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            error_stats([], [])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
 def test_rmse_dominates_bias_and_mae(errors):
-    stats = error_stats(errors, [0.0] * len(errors))
+    stats = experiment._aggregate(np.array(errors), 0)
     assert stats.rmse + 1e-12 >= abs(stats.bias)
     assert stats.rmse + 1e-12 >= stats.mae - 1e-12 * abs(stats.mae)
     assert stats.mae + 1e-12 >= abs(stats.bias)
@@ -176,16 +170,26 @@ class TestEstimatorSpec:
         assert np.all(errors >= 0.5 + 0.5 / 30 - 0.6 - 1e-12)
 
 
-class TestBootstrap:
-    def test_deterministic_and_positive(self):
-        errors = np.array([0.1, -0.2, 0.05, 0.3, -0.15])
-        a = bootstrap_rmse_se(errors, seed=1)
-        assert a == bootstrap_rmse_se(errors, seed=1)
-        assert a > 0
+class TestRmseSe:
+    def test_frozen_oracle(self):
+        # sd(e**2) / (2 * rmse * sqrt(5)) in 40-digit decimal arithmetic
+        assert rmse_se([0.1, -0.2, 0.05, 0.3, -0.15]) == pytest.approx(0.04293891009329417, rel=1e-14)
+
+    def test_agrees_with_a_bootstrap(self):
+        errors = np.random.default_rng(2024).normal(0.01, 0.03, 300)
+        idx = np.random.default_rng(7).integers(0, errors.size, size=(2000, errors.size))
+        boot = float(np.std(np.sqrt(np.mean(errors[idx] ** 2, axis=1)), ddof=1))
+        assert rmse_se(errors) == pytest.approx(boot, rel=0.05)
+
+    def test_zero_errors_give_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rmse_se([0.0, 0.0, 0.0]) == 0.0
 
     def test_needs_two_errors(self):
-        with pytest.raises(ValueError):
-            bootstrap_rmse_se([0.1])
+        for errors in ([], [0.1]):
+            with pytest.raises(ValueError, match="at least two"):
+                rmse_se(errors)
 
 
 # (row_id, rmse, mae, bias, n_effective, failures) of reproduce_table(table, trials=5, master_seed=0)
