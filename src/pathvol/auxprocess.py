@@ -29,7 +29,7 @@ __all__ = ["AuxSeries", "compute_aux", "log_modulus_complex_oracle"]
 class AuxSeries:
     """Per-step series derived from one path at a fixed exponent h.
 
-    eta[k]                 normalized increments (length m - m0)
+    eta[k]                 normalized increments (length m)
     v[k]                   log(1 + eta[k]**2)
     log_modulus_running[k] (1/2) * cumulative sum of v up to k
     v_bar                  mean of v

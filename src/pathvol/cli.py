@@ -13,6 +13,7 @@ model or SimConfig refuses, malformed input files).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 import time
@@ -38,6 +39,8 @@ _MODEL_FLAGS = ("model", "a", "b", "sigma", "gamma")
 _METHOD_ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA_SQ}
 # every parameter a registered estimator takes; each is the dest of an estimate flag
 _ESTIMATOR_PARAMS = {name for m in METHODS.values() for name in (*m.required, *m.defaults)}
+# the grid searches, the methods with an objective curve for --curve
+_SEARCH_METHODS = tuple(name for name, m in METHODS.items() if "grid_n" in m.defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,6 +155,8 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         spec = EstimatorSpec(method, **{name: getattr(args, name) for name in _ESTIMATOR_PARAMS})
     except ValueError as exc:
         parser.error(str(exc))
+    if args.curve is not None and method not in _SEARCH_METHODS:
+        parser.error(f"--curve needs a grid search method: {', '.join(_SEARCH_METHODS)}")
 
     try:
         path = read_path_csv(args.infile)
@@ -164,7 +169,7 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 
     try:
         result = spec.result(path)
-        if args.curve is not None and result.grid is not None:
+        if args.curve is not None:
             _write_curve(result, args.curve)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -195,19 +200,26 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
             print(f"table {table_id}: skipped (all rows above --max-steps)", file=sys.stderr)
     if not runs:
         parser.error("--max-steps skips every row")
-    for table_id, steps in runs:
-        start = time.perf_counter()
-        try:
-            report = reproduce_table(
-                table_id, trials=args.trials, master_seed=args.seed, n_steps_filter=steps
-            )
-            print(report.format_text() + "\n")
-            print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-            if args.out is not None:
-                args.out.write_text(report.to_csv())
-        except (ValueError, OSError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        # opened before any table runs, so an unwritable --out costs no work
+        out = contextlib.nullcontext() if args.out is None else args.out.open("w")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    with out:
+        for table_id, steps in runs:
+            start = time.perf_counter()
+            try:
+                report = reproduce_table(
+                    table_id, trials=args.trials, master_seed=args.seed, n_steps_filter=steps
+                )
+                print(report.format_text() + "\n")
+                print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+                if args.out is not None:
+                    out.write(report.to_csv())
+            except (ValueError, OSError, RuntimeError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
     return 0
 
 

@@ -35,8 +35,8 @@ such a path still gets a finite estimate where the result itself is one.
 
 ``METHODS`` maps each method name to its estimator.  An ``EstimatorSpec``
 checks the parameters of one method once and then runs it on any number of
-paths; the experiments, the command line and ``estimate(path, method,
-**params)`` all call the estimators through it.
+paths; it is the one way in by method name, and the experiments and the
+command line both call the estimators through it.
 
 Grid searches scan h in {1/grid_n, 2/grid_n, ..., 1} by default; ties
 resolve to the smallest candidate.  A ``search_range`` (lo, hi) narrows the
@@ -57,22 +57,19 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .simulate import DegeneratePathError, SamplePath
+from .simulate import DegeneratePathError, SamplePath, _check_count
 
 __all__ = [
     "EstimateResult",
     "EstimatorSpec",
     "METHODS",
     "NoSolutionError",
-    "check_params",
-    "estimate",
     "sigma_known_gamma",
     "gamma_ratio_estimate",
     "joint_estimate",
@@ -169,9 +166,9 @@ def _check(
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be > 0")
-    if grid_n is not None and (isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral) or grid_n < 2):
-        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
-    if search_range is not None and not 0.0 <= search_range[0] < search_range[1] <= 1.0:
+    if grid_n is not None:
+        _check_count("grid_n", grid_n, 2)
+    if search_range is not None and (len(search_range) != 2 or not 0.0 <= search_range[0] < search_range[1] <= 1.0):
         raise ValueError("search_range must satisfy 0 <= lo < hi <= 1")
     if h1 is not None and h1 == h2:
         raise ValueError("h1 and h2 must differ")
@@ -480,41 +477,24 @@ METHODS = {
 }
 
 
-def check_params(method: str, **params) -> dict[str, object]:
-    """The keyword arguments an ``EstimatorSpec`` passes to the method's estimator.
-
-    None values are dropped, so the estimator's own defaults apply, and so
-    are parameters the method does not take.  Raises ValueError for an
-    unknown method, a missing required parameter, or a given or defaulted
-    value that the estimators refuse, and TypeError for an unknown name.
-    """
-    entry = METHODS.get(method)
-    if entry is None:
-        raise ValueError(f"unknown estimator method {method!r}; expected one of {tuple(METHODS)}")
-    given = {name: value for name, value in params.items() if value is not None}
-    for name in entry.required:
-        if name not in given:
-            raise ValueError(f"{method} needs its {name} parameter")
-    _check(**{**entry.defaults, **given})
-    kwargs = {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
-    if "search_range" in kwargs:  # a tuple, so that a spec holds no list its caller can change
-        kwargs["search_range"] = tuple(map(float, kwargs["search_range"]))
-    return kwargs
-
-
 @dataclass(frozen=True, init=False)
 class EstimatorSpec:
     """One checked estimator call: a registered method, its parameters and its target.
 
-    ``EstimatorSpec(method, target=None, **params)`` checks ``params`` once,
-    as ``check_params`` does, and keeps the estimator's keyword arguments in
-    ``kwargs``, a read-only mapping.  Running the spec on a path skips
-    ``check_params``, its check of the method name and of the required
-    parameters; the estimator still checks its argument values, as on any
-    direct call.  ``target`` is the coordinate ``estimate`` returns ("sigma"
-    or "gamma"); by default it follows the method (sigma-known-gamma ->
-    sigma, the gamma searches -> gamma).  joint-variance produces both, so
-    either target is valid for it.
+    ``EstimatorSpec(method, target=None, **params)`` checks ``params`` once
+    and keeps the estimator's keyword arguments in ``kwargs``, a read-only
+    mapping.  None values are dropped, so the estimator's own defaults
+    apply, and so are parameters the method does not take; a list
+    ``search_range`` is kept as a tuple.  Raises ValueError for an unknown
+    method, a missing required parameter, a given or defaulted value that
+    the estimators refuse (a parameter the method does not take included)
+    or a target the method does not produce, and TypeError for an unknown
+    parameter name.  Running the spec on a path skips the checks of the
+    method name and of the required parameters; the estimator still checks
+    its argument values, as on any direct call.  ``target`` is the
+    coordinate ``estimate`` returns ("sigma" or "gamma"); by default it
+    follows the method (sigma-known-gamma -> sigma, the gamma searches ->
+    gamma).  joint-variance produces both, so either target is valid for it.
     """
 
     method: str
@@ -522,11 +502,20 @@ class EstimatorSpec:
     kwargs: MappingProxyType[str, object] = field(hash=False)
 
     def __init__(self, method: str, target: str | None = None, **params) -> None:
-        kwargs = check_params(method, **params)
-        produces = METHODS[method].produces
+        entry = METHODS.get(method)
+        if entry is None:
+            raise ValueError(f"unknown estimator method {method!r}; expected one of {tuple(METHODS)}")
+        given = {name: value for name, value in params.items() if value is not None}
+        for name in entry.required:
+            if name not in given:
+                raise ValueError(f"{method} needs its {name} parameter")
+        _check(**{**entry.defaults, **given})
+        kwargs = {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
+        if "search_range" in kwargs:  # a tuple, so that a spec holds no list its caller can change
+            kwargs["search_range"] = tuple(map(float, kwargs["search_range"]))
         if target is None:
-            target = produces[0]
-        elif target not in produces:
+            target = entry.produces[0]
+        elif target not in entry.produces:
             raise ValueError(f"{method} does not estimate {target}")
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "target", target)
@@ -540,11 +529,6 @@ class EstimatorSpec:
         """The target coordinate of the method's result on one path."""
         result = self.result(path)
         return float(result.sigma_hat if self.target == "sigma" else result.gamma_hat)
-
-
-def estimate(path: SamplePath, method: str, **params) -> EstimateResult:
-    """Run the registered ``method`` on one path; ``params`` as for ``check_params``."""
-    return EstimatorSpec(method, None, **params).result(path)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,11 @@ from .estimators import (
     EstimatorSpec,
 )
 from .model import ModelSpec, sample_delay_drift
-from .simulate import DegeneratePathError, SimConfig, euler_maruyama
+from .simulate import DegeneratePathError, SimConfig, _check_count, euler_maruyama
 
 __all__ = [
     "AllTrialsFailedError",
     "RandomizedDrift",
-    "EstimatorSpec",
     "ExperimentConfig",
     "TrialStats",
     "TableRow",
@@ -85,8 +84,7 @@ class ExperimentConfig:
     master_seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_count("trials", self.trials, 1)
 
     def truth(self) -> float:
         """The model's coordinate that the estimator targets."""

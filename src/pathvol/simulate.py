@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -44,6 +45,13 @@ __all__ = [
     "CsvFormatError",
 ]
 
+
+def _check_count(name: str, value: int, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 class DegeneratePathError(ValueError):
     """Raised when a path carries no usable increment information."""
 
@@ -54,12 +62,11 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Observed path y(t_k), k = m0..m, on the grid t_k = theta + (k - m0) * delta."""
+    """Observed path y(t_k), k = 0..m, on the grid t_k = theta + k * delta."""
 
     theta: float
     delta: float
     values: np.ndarray
-    m0: int = 0
     stopped_early: bool = False
     positivity_fixes: int = 0
 
@@ -77,7 +84,7 @@ class SamplePath:
 
     @property
     def m(self) -> int:
-        return self.m0 + len(self.values) - 1
+        return len(self.values) - 1
 
     @property
     def times(self) -> np.ndarray:
@@ -107,8 +114,7 @@ class SimConfig:
     delay_rule: str = "scaled"
 
     def __post_init__(self) -> None:
-        if self.n_steps < 2:
-            raise ValueError("n_steps must be >= 2")
+        _check_count("n_steps", self.n_steps, 2)
         if not self.horizon > self.theta:
             raise ValueError("horizon must exceed theta")
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0):
@@ -186,7 +192,6 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
         theta=cfg.theta,
         delta=delta,
         values=np.fromiter(values, float, len(values)),
-        m0=0,
         stopped_early=values[-1] <= threshold,
         positivity_fixes=fixes,
     )

@@ -270,6 +270,21 @@ class TestEstimate:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "c.csv" in err
 
+    @pytest.mark.parametrize("method", ["sigma-known-gamma", "integrated", "integrated-sigma-sq"])
+    def test_curve_without_a_search_is_a_usage_error(self, tmp_path, capsys, method):
+        # refused before the input is read: the missing file goes unreported
+        curve = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "estimate", "--in", str(tmp_path / "nope.csv"), "--method", method,
+                "--gamma", "0.6", "--curve", str(curve),
+            )
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot read" not in err
+        assert "--curve needs a grid search method: gamma-ratio, joint-variance, gamma-known-sigma" in err
+        assert not curve.exists()
+
     def test_constant_path_exit_1(self, tmp_path, capsys):
         src = write_csv(tmp_path, "flat.csv", "t,y\n0,5\n0.5,5\n1,5\n")
         assert run_cli("estimate", "--in", str(src), "--method", "joint") == 1
@@ -434,8 +449,9 @@ class TestExperiment:
     def test_unwritable_out_exit_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
         assert run_cli("experiment", "--table", "t1a", "--trials", "2", "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("error: ") and "t.csv" in err
+        stdout, err = capsys.readouterr()
+        # refused before the table runs: no report on stdout, no wall time on stderr
+        assert stdout == "" and err.startswith("error: ") and "t.csv" in err and "table t1a" not in err
 
     def test_trials_must_be_positive(self):
         with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,6 @@ from pathvol.estimators import (
     cir_backout,
     cir_mean,
     cir_variance,
-    estimate,
     gamma_known_sigma,
     gamma_ratio_estimate,
     integrated_sigma_sq,
@@ -403,7 +402,7 @@ SUBNORMAL_DELTA = make_path([1.0, 2.0, 1.0], delta=1e-310)
 
 SIGMA_CALLS = {
     "sigma-known-gamma": lambda path: sigma_known_gamma(path, gamma=0.5),
-    "integrated-sigma-sq": lambda path: estimate(path, "integrated-sigma-sq", gamma=0.5),
+    "integrated-sigma-sq": lambda path: EstimatorSpec("integrated-sigma-sq", gamma=0.5).result(path),
     "integrated_sigma_sq": lambda path: integrated_sigma_sq(path, gamma=0.5),
 }
 
@@ -418,7 +417,7 @@ def test_overflowing_increment_sum_raises(call, path):
 @pytest.mark.parametrize("method", ["sigma-known-gamma", "integrated-sigma-sq"])
 def test_overflowing_scale_raises(method):
     with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
-        estimate(SUBNORMAL_DELTA, method, gamma=0.5)
+        EstimatorSpec(method, gamma=0.5).result(SUBNORMAL_DELTA)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -428,7 +427,7 @@ def test_overflowing_path_raises_without_numpy_warnings(method):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegeneratePathError):
-            estimate(OVERFLOWING_SUM[0], method, gamma=0.5, sigma=1.0)
+            EstimatorSpec(method, gamma=0.5, sigma=1.0).result(OVERFLOWING_SUM[0])
 
 
 # v_bar[h] underflows to 0 at small h while the last increment's v[h, k] is a subnormal
@@ -511,7 +510,7 @@ def _sigma_outcome(call):
 )
 def test_integrated_method_is_sigma_known_gamma_at_h_gamma(values, delta, gamma):
     path = make_path(values, delta=delta)
-    outcome = _sigma_outcome(lambda: estimate(path, "integrated-sigma-sq", gamma=gamma))
+    outcome = _sigma_outcome(lambda: EstimatorSpec("integrated-sigma-sq", gamma=gamma).result(path))
     assert outcome == _sigma_outcome(lambda: sigma_known_gamma(path, gamma=gamma))
     if isinstance(outcome, tuple) and not outcome[1]:
         # the integral over the window, as the method's own sum
@@ -667,7 +666,7 @@ def test_known_power_scale_estimate_is_finite_and_positive(sigma, gamma, seed):
 )
 def test_every_method_gives_finite_values_or_a_named_error(values, sigma, gamma, method):
     try:
-        result = estimate(make_path(values), method, gamma=gamma, sigma=sigma)
+        result = EstimatorSpec(method, gamma=gamma, sigma=sigma).result(make_path(values))
     except DegeneratePathError:
         return
     curve = [objective for _, objective in result.objective_curve or ()]

@@ -13,11 +13,11 @@ from pathvol.estimators import (
     METHOD_GAMMA_RATIO,
     METHOD_JOINT_VARIANCE,
     METHOD_SIGMA_KNOWN_GAMMA,
+    EstimatorSpec,
 )
 from pathvol import experiment
 from pathvol.experiment import (
     AllTrialsFailedError,
-    EstimatorSpec,
     ExperimentConfig,
     RandomizedDrift,
     TABLE_IDS,
@@ -129,6 +129,16 @@ class TestRunTrials:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
             tiny_config(trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, 3.0])
+    def test_trials_must_be_a_whole_number(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            tiny_config(trials=trials)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            reproduce_table("t1a", trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        assert run_experiment(tiny_config(trials=np.int64(4))) == run_experiment(tiny_config(trials=4))
 
 
 class TestEstimatorSpec:

@@ -1,11 +1,16 @@
 """The method registry: one dispatcher behind the command line and the experiments."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_positive_path
 import pathvol
-from pathvol import cli, estimators, experiment
+from pathvol import estimators, experiment
 from pathvol.cli import main
 from pathvol.estimators import (
     METHOD_GAMMA_KNOWN_SIGMA,
@@ -15,15 +20,13 @@ from pathvol.estimators import (
     METHOD_SIGMA_KNOWN_GAMMA,
     METHODS,
     EstimateResult,
-    check_params,
-    estimate,
+    EstimatorSpec,
     gamma_known_sigma,
     gamma_ratio_estimate,
     integrated_sigma_sq,
     joint_estimate,
     sigma_known_gamma,
 )
-from pathvol.experiment import EstimatorSpec
 from pathvol.model import ckls_model
 from pathvol.simulate import SimConfig, euler_maruyama, read_path_csv, write_path_csv
 
@@ -59,7 +62,7 @@ def test_registry_covers_the_five_methods():
     assert METHODS[METHOD_JOINT_VARIANCE].defaults["grid_n"] == 30
 
 
-# (argv flags, estimate() parameters) for each method name the command line takes
+# (argv flags, EstimatorSpec parameters) for each method name the command line takes
 CLI_CASES = [
     ("sigma-known-gamma", ["--gamma", "0.6"], {"gamma": 0.6}),
     ("sigma-known-gamma", ["--gamma", "0.6", "--h", "0.25"], {"gamma": 0.6, "h": 0.25}),
@@ -81,7 +84,7 @@ ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA
 @pytest.mark.parametrize("name, flags, params", CLI_CASES)
 def test_cli_prints_the_registry_result(path_csv, path, capsys, name, flags, params):
     assert main(["estimate", "--in", str(path_csv), "--method", name, *flags]) == 0
-    expected = estimate(path, ALIASES.get(name, name), **params)
+    expected = EstimatorSpec(ALIASES.get(name, name), **params).result(path)
     assert capsys.readouterr().out == f"{EstimateResult.CSV_HEADER}\n{expected.to_csv_row()}\n"
 
 
@@ -139,13 +142,16 @@ def test_estimator_is_looked_up_when_called(path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "joint_estimate", spy)
-    estimate(path, METHOD_JOINT_VARIANCE, grid_n=12, sigma=None)
+    EstimatorSpec(METHOD_JOINT_VARIANCE, grid_n=12, sigma=None).result(path)
     EstimatorSpec(method=METHOD_JOINT_VARIANCE).estimate(path)
     assert calls == [{"grid_n": 12}, {}]
 
 
 def test_estimator_spec_has_one_home():
-    assert pathvol.EstimatorSpec is estimators.EstimatorSpec is experiment.EstimatorSpec
+    assert pathvol.EstimatorSpec is estimators.EstimatorSpec
+    assert "EstimatorSpec" in estimators.__all__ and "EstimatorSpec" not in experiment.__all__
+    for gone in ("check_params", "estimate"):
+        assert not hasattr(estimators, gone) and gone not in estimators.__all__
 
 
 def test_spec_kwargs_are_read_only():
@@ -163,27 +169,25 @@ def test_list_and_tuple_search_range_build_equal_specs():
 
 
 def test_cli_estimate_checks_its_parameters_once(path_csv, monkeypatch, capsys):
-    # a spy wherever a pathvol module refers to check_params
+    # the value check runs twice: once as the spec is built, once in the estimator itself
     calls = []
-    original = estimators.check_params
+    original = estimators._check
 
-    def spy(method, **params):
-        calls.append(method)
-        return original(method, **params)
+    def spy(**params):
+        calls.append(params["grid_n"])
+        return original(**params)
 
-    for module in (estimators, experiment, cli):
-        if getattr(module, "check_params", None) is original:
-            monkeypatch.setattr(module, "check_params", spy)
+    monkeypatch.setattr(estimators, "_check", spy)
     assert main(["estimate", "--in", str(path_csv), "--method", "joint", "--search-range", "0.5", "1"]) == 0
-    assert calls == [METHOD_JOINT_VARIANCE]
+    assert calls == [30, 30]
 
 
 class TestCheckParams:
     def test_drops_none_and_parameters_the_method_does_not_take(self):
         params = {"gamma": 0.5, "h": None, "h1": 0.25, "grid_n": None, "sigma": 0.3}
-        assert check_params(METHOD_JOINT_VARIANCE, **params) == {}
-        assert check_params(METHOD_SIGMA_KNOWN_GAMMA, **params) == {"gamma": 0.5}
-        assert check_params(METHOD_GAMMA_RATIO, **params) == {"h1": 0.25}
+        assert EstimatorSpec(METHOD_JOINT_VARIANCE, **params).kwargs == {}
+        assert EstimatorSpec(METHOD_SIGMA_KNOWN_GAMMA, **params).kwargs == {"gamma": 0.5}
+        assert EstimatorSpec(METHOD_GAMMA_RATIO, **params).kwargs == {"h1": 0.25}
 
     @pytest.mark.parametrize(
         "method, params, match",
@@ -196,12 +200,43 @@ class TestCheckParams:
             (METHOD_SIGMA_KNOWN_GAMMA, {"gamma": 0.5, "h": 1.5}, "h must lie"),
             # a value no estimator accepts is refused whichever method runs
             (METHOD_JOINT_VARIANCE, {"sigma": -1.0}, "sigma must be > 0"),
+            # a search_range is a pair; accepted, three values failed only in the estimator
+            (METHOD_JOINT_VARIANCE, {"search_range": (0.2, 0.5, 1.0)}, "search_range"),
+            (METHOD_INTEGRATED_SIGMA_SQ, {"gamma": 0.5, "search_range": (0.5,)}, "search_range"),
         ],
     )
     def test_rejects_bad_parameters(self, method, params, match):
         with pytest.raises(ValueError, match=match):
-            check_params(method, **params)
+            EstimatorSpec(method, **params)
 
     def test_unknown_parameter_name_is_a_type_error(self):
         with pytest.raises(TypeError, match="gridn"):
-            check_params(METHOD_JOINT_VARIANCE, gridn=10)
+            EstimatorSpec(METHOD_JOINT_VARIANCE, gridn=10)
+
+
+# values from None, the unit interval, outside it and nan; a search_range from pairs
+# and sequences of other lengths
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 2.0), st.just(math.nan))
+SPEC_PARAMS = st.fixed_dictionaries(
+    {
+        "gamma": st.none() | _UNIT,
+        "h": st.none() | _UNIT,
+        "h1": st.none() | _UNIT,
+        "h2": st.none() | _UNIT,
+        "sigma": st.none() | st.floats(1e-3, 1e3) | st.floats(-1.0, 0.0) | st.sampled_from([math.nan, math.inf]),
+        "grid_n": st.none() | st.integers(-1, 40) | st.booleans() | st.floats(-1.0, 40.0),
+        "search_range": st.none() | st.tuples(_UNIT, _UNIT) | st.lists(_UNIT, min_size=0, max_size=3),
+    }
+)
+BENIGN = random_positive_path(np.random.default_rng(5), 60)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@settings(max_examples=150, deadline=None)
+@given(params=SPEC_PARAMS)
+def test_what_a_spec_accepts_its_estimator_accepts(method, params):
+    try:
+        spec = EstimatorSpec(method, **params)
+    except ValueError:
+        return
+    assert isinstance(spec.result(BENIGN), EstimateResult)

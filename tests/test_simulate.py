@@ -25,8 +25,8 @@ from pathvol.simulate import (
 
 class TestSamplePath:
     def test_grid_and_stop_index(self):
-        p = SamplePath(theta=0.5, delta=0.1, values=[1.0, 2.0, 3.0], m0=2)
-        assert p.m == 4
+        p = SamplePath(theta=0.5, delta=0.1, values=[1.0, 2.0, 3.0])
+        assert p.m == 2
         np.testing.assert_allclose(p.times, [0.5, 0.6, 0.7])
 
     def test_needs_two_points(self):
@@ -96,6 +96,17 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("n_steps", [2.5, True, 10.0])
+    def test_n_steps_must_be_a_whole_number(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
+            SimConfig(n_steps=n_steps)
+
+    def test_numpy_integer_n_steps_accepted(self):
+        model = ckls_model(1.0, 1.0, 0.3, 0.6)
+        a = euler_maruyama(model, SimConfig(n_steps=np.int64(20), y0=1.0), np.random.default_rng(3))
+        b = euler_maruyama(model, SimConfig(n_steps=20, y0=1.0), np.random.default_rng(3))
+        assert a.m == 20 and np.array_equal(a.values, b.values)
+
     def test_sampled_start_default_range_and_mean(self):
         model = cir_model(1.0, 1.0, 0.3)
         cfg = SimConfig(n_steps=2)  # y0 = None, default y0_range
@@ -133,8 +144,8 @@ class TestRecursion:
         a = euler_maruyama(model, cfg, np.random.default_rng(42))
         b = euler_maruyama(model, cfg, np.random.default_rng(42))
         assert np.array_equal(a.values, b.values)
-        assert (a.theta, a.delta, a.m0, a.stopped_early, a.positivity_fixes) == (
-            b.theta, b.delta, b.m0, b.stopped_early, b.positivity_fixes,
+        assert (a.theta, a.delta, a.m, a.stopped_early, a.positivity_fixes) == (
+            b.theta, b.delta, b.m, b.stopped_early, b.positivity_fixes,
         )
 
     def test_generator_is_required(self):
