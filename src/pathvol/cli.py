@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--y0", type=float, help="starting value, > 0 (default: drawn uniformly from [0.1, 10])")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--stop-ratio", type=float, default=0.001)
-    sim.add_argument("--delay-rule", choices=("scaled", "literal"), default="scaled")
     sim.add_argument("--out", type=Path, required=True, help="output CSV file (header t,y)")
     sim.set_defaults(parser=sim)
 
@@ -120,12 +119,8 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     try:
-        cfg = SimConfig(  # y0 = None (no --y0) draws it from rng
-            n_steps=args.n,
-            y0=args.y0,
-            stop_ratio=args.stop_ratio,
-            delay_rule=args.delay_rule,
-        )
+        # y0 = None (no --y0) draws it from rng
+        cfg = SimConfig(n_steps=args.n, y0=args.y0, stop_ratio=args.stop_ratio)
         model = _build_model(args, parser, rng)
     except ValueError as exc:
         parser.error(str(exc))

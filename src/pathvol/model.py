@@ -62,8 +62,8 @@ class DelayDriftSpec:
                 + c[k] * cos(d[k] * x + e[k])
                 + 0.1 * a_hat[k] * (b_hat[k] - x_lag ** (nu_hat[k] + 1/2)) ]
 
-    ``delay`` is the lag in time units; the simulator converts it into a
-    whole number of grid steps (see ``simulate.SimConfig.delay_rule``).
+    ``delay`` is the lag in time units; the simulator converts it into the
+    whole number of grid steps floor(delay / delta) (see ``simulate.SimConfig``).
     """
 
     a: tuple[float, ...]

@@ -5,19 +5,20 @@ Paths are generated by the explicit recursion
     y(t_{k+1}) = y(t_k) + f(y(t_k), y(t_{k-l})) * delta
                  + sigma * y(t_k)**gamma * sqrt(delta) * xi_{k+1}
 
-with iid standard normal xi, step delta = (horizon - theta) / n_steps and a
-whole-step lag l derived from the drift's delay.  The generator the caller
-passes is the path's only source of randomness: it draws the starting value
-y0 when the config leaves it unset, then the xi.  Two guards keep the path
-usable by the estimators: any nonpositive produced value is replaced by the
-previous value (counted in ``positivity_fixes``), and the simulation stops
-early the first time the retained value falls to ``stop_ratio`` times the
-starting value.  The history before the start is held at the starting value:
-step k reads y(t_{k-l}) from one iterator that yields y0 l times and then the
-growing path.  The steps run on Python floats in a loop compiled once per
-drift shape (affine, or n delay terms) with ``model.drift_source`` inline, the
-same terms added in the same order as ``eval_drift``; each step computes bit
-for bit what the recursion above gives with ``eval_drift``, from the same draws.
+with iid standard normal xi, t_0 = 0, step delta = horizon / n_steps and the
+whole-step lag l = floor(delay / delta) of the drift's delay.  The generator
+the caller passes is the path's only source of randomness: it draws the
+starting value y0 when the config leaves it unset, then the xi.  Two guards
+keep the path usable by the estimators: any nonpositive produced value is
+replaced by the previous value (counted in ``positivity_fixes``), and the
+simulation stops early the first time the retained value falls to
+``stop_ratio`` times the starting value.  The history before the start is held
+at the starting value: step k reads y(t_{k-l}) from one iterator that yields
+y0 l times and then the growing path.  The steps run on Python floats in a
+loop compiled once per drift shape (affine, or n delay terms) with
+``model.drift_source`` inline, the same terms added in the same order as
+``eval_drift``; each step computes bit for bit what the recursion above gives
+with ``eval_drift``, from the same draws.
 """
 from __future__ import annotations
 
@@ -95,28 +96,24 @@ class SamplePath:
 class SimConfig:
     """Grid, starting value and stopping parameters for one simulation.
 
+    The path runs on [0, horizon] in n_steps steps of delta = horizon / n_steps;
+    a drift delay becomes the lag of floor(delay / delta) whole steps.
     y0 = None means the starting value is drawn uniformly from
     y0_range (default [0.1, 10]) with the generator passed to euler_maruyama.
     The benchmark reproductions narrow y0_range per table; see the
     calibration notes in experiment.py.
-
-    delay_rule picks how a drift delay (in time units) becomes a grid lag:
-      "scaled"  -> lag = floor(delay / delta)          (default)
-      "literal" -> lag = floor(delay * (horizon - theta) / (n_steps + 1))
     """
 
     n_steps: int
-    theta: float = 0.0
     horizon: float = 1.0
     y0: float | None = None
     y0_range: tuple[float, float] = (0.1, 10.0)
     stop_ratio: float = 0.001
-    delay_rule: str = "scaled"
 
     def __post_init__(self) -> None:
         _check_count("n_steps", self.n_steps, 2)
-        if not self.horizon > self.theta:
-            raise ValueError("horizon must exceed theta")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and > 0")
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0):
             raise ValueError("y0 must be > 0 (or None to sample it)")
         lo, hi = self.y0_range
@@ -124,18 +121,10 @@ class SimConfig:
             raise ValueError("y0_range must satisfy 0 < low < high")
         if not (0.0 < self.stop_ratio < 1.0):
             raise ValueError("stop_ratio must lie in (0, 1)")
-        if self.delay_rule not in ("scaled", "literal"):
-            raise ValueError("delay_rule must be 'scaled' or 'literal'")
 
     @property
     def delta(self) -> float:
-        return (self.horizon - self.theta) / self.n_steps
-
-
-def _delay_lag(delay: float, delta: float, cfg: SimConfig) -> int:  # delta is cfg.delta
-    if cfg.delay_rule == "scaled":
-        return math.floor(delay / delta)
-    return math.floor(delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1))
+        return self.horizon / self.n_steps
 
 
 # Euler steps on Python floats; {items} binds xi (and x_lagged for a delay drift).
@@ -183,13 +172,13 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
     noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats
     values = [y0]
     # the delayed state of step k: y0 while k < lag, then values[k - lag]
-    delayed = chain(repeat(y0, _delay_lag(model.drift.delay, delta, cfg)), values)
+    delayed = chain(repeat(y0, math.floor(model.drift.delay / delta)), values)
     fixes = _step_loop(model.drift.n_terms)(
         noise, delayed, values, delta, float(model.sigma), float(model.gamma),
         math.sqrt(delta), threshold, *drift_constants(model.drift),
     )
     return SamplePath(
-        theta=cfg.theta,
+        theta=0.0,
         delta=delta,
         values=np.fromiter(values, float, len(values)),
         stopped_early=values[-1] <= threshold,
@@ -297,7 +286,9 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
     delta = float(times[1] - times[0])
     if delta <= 0:
         raise CsvFormatError(f"line {_data_line(text.splitlines(), 1)}: time column must be strictly increasing")
-    off_grid = np.abs(np.diff(times) - delta) > 1e-9 * max(abs(delta), 1.0)
+    # the written times are rounded to doubles: allow a few ulps of the largest |t|
+    tol = max(1e-9 * max(abs(delta), 1.0), 4 * float(np.spacing(np.abs(times).max())))
+    off_grid = np.abs(np.diff(times) - delta) > tol
     if off_grid.any():
         row = int(np.argmax(off_grid)) + 1  # the row that ends the first off-grid step
         raise CsvFormatError(f"line {_data_line(text.splitlines(), row)}: time grid is not uniform")

@@ -184,6 +184,8 @@ class TestSimulate:
              "--y0", "1", "--n", "10", "--out", "x.csv"),
             ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
              "--y0", "nan", "--n", "10", "--out", "x.csv"),
+            ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
+             "--n", "10", "--delay-rule", "scaled", "--out", "x.csv"),  # a removed flag
         ],
     )
     def test_usage_errors_exit_2(self, argv):

@@ -75,7 +75,7 @@ class TestSamplePath:
 class TestSimConfig:
     def test_delta(self):
         assert SimConfig(n_steps=250).delta == pytest.approx(1 / 250)
-        assert SimConfig(n_steps=10, theta=1.0, horizon=3.0).delta == pytest.approx(0.2)
+        assert SimConfig(n_steps=10, horizon=2.0).delta == pytest.approx(0.2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -89,7 +89,8 @@ class TestSimConfig:
             dict(n_steps=10, y0_range=(1.0, float("inf"))),
             dict(n_steps=10, stop_ratio=0.0),
             dict(n_steps=10, stop_ratio=1.0),
-            dict(n_steps=10, delay_rule="sometimes"),
+            dict(n_steps=10, horizon=float("inf")),
+            dict(n_steps=10, horizon=float("nan")),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -127,6 +128,7 @@ class TestRecursion:
         delta = 0.25
         expected = 2.0 + 1.2 * (0.9 - 2.0) * delta + 0.4 * 2.0**0.7 * math.sqrt(delta) * xi[0]
         assert path.values[1] == expected
+        assert (path.theta, path.delta) == (0.0, delta)  # the grid starts at t = 0
 
     def test_noiseless_mean_reversion_monotone(self):
         model = ckls_model(a=1.0, b=1.0, sigma=0.0, gamma=0.5)
@@ -197,22 +199,20 @@ class TestRecursion:
         assert np.all(path.values > 0)
         assert path.positivity_fixes > 0
 
-    def test_delay_rules_differ_for_delayed_drift(self):
+    def test_delay_takes_effect_for_delayed_drift(self):
         drift = DelayDriftSpec(
             a=(0.0,), b=(0.0,), nu=(0.5,), c=(0.0,), d=(0.0,), e=(0.0,),
             a_hat=(1.0,), b_hat=(0.0,), nu_hat=(0.5,), delay=0.1,
         )
         model = ModelSpec(drift=drift, sigma=0.0, gamma=0.5)
-        # scaled: lag = floor(0.1 / (1/100)) = 10 steps; literal: 0 steps
-        scaled = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0, delay_rule="scaled"), np.random.default_rng(0))
-        literal = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0, delay_rule="literal"), np.random.default_rng(0))
+        # lag = floor(0.1 / (1/100)) = 10 steps
+        delayed = euler_maruyama(model, SimConfig(n_steps=100, y0=2.0), np.random.default_rng(0))
         no_delay = euler_maruyama(
             ModelSpec(drift=dataclasses.replace(drift, delay=0.0), sigma=0.0, gamma=0.5),
             SimConfig(n_steps=100, y0=2.0),
             np.random.default_rng(0),
         )
-        assert np.array_equal(literal.values, no_delay.values)
-        assert not np.array_equal(scaled.values, no_delay.values)
+        assert not np.array_equal(delayed.values, no_delay.values)
 
     def test_lagged_value_is_frozen_start_during_warmup(self):
         # with lag l, steps k <= l must read the starting value
@@ -258,11 +258,7 @@ def test_simulation_determinism_property(seed):
 def reference_euler(model, cfg, rng):
     """The step loop written plainly: eval_drift per step, np.float64 noise."""
     y0 = cfg.y0 if cfg.y0 is not None else float(rng.uniform(*cfg.y0_range))
-    delay = getattr(model.drift, "delay", 0.0)
-    if cfg.delay_rule == "scaled":
-        lag = math.floor(delay / cfg.delta)
-    else:
-        lag = math.floor(delay * (cfg.horizon - cfg.theta) / (cfg.n_steps + 1))
+    lag = math.floor(getattr(model.drift, "delay", 0.0) / cfg.delta)
     noise = rng.standard_normal(cfg.n_steps)
     values, fixes, stopped = [float(y0)], 0, False
     for k in range(1, cfg.n_steps + 1):
@@ -285,9 +281,9 @@ def _bitwise_cases():
     for gamma in (0.0, 0.4, 0.5, 1.0):
         for sigma in (0.3, 3.0):
             a, b = rng.uniform(0.0, 3.0, size=2)
-            cases.append((ckls_model(a, b, sigma, gamma), "scaled"))
-            for rule in ("scaled", "literal"):
-                cases.append((ModelSpec(drift=sample_delay_drift(rng), sigma=sigma, gamma=gamma), rule))
+            cases.append(ckls_model(a, b, sigma, gamma))
+            for _ in range(2):
+                cases.append(ModelSpec(drift=sample_delay_drift(rng), sigma=sigma, gamma=gamma))
     return cases
 
 
@@ -301,9 +297,9 @@ def _assert_matches_reference(model, cfg, seed):
 
 @pytest.mark.parametrize("n_steps", [52, 2000])
 def test_simulator_matches_reference_recursion_bitwise(n_steps):
-    for i, (model, rule) in enumerate(_bitwise_cases()):
+    for i, model in enumerate(_bitwise_cases()):
         for seed in range(3):
-            _assert_matches_reference(model, SimConfig(n_steps=n_steps, delay_rule=rule), 100 * i + seed)
+            _assert_matches_reference(model, SimConfig(n_steps=n_steps), 100 * i + seed)
 
 
 def test_guarded_steps_match_reference_recursion_bitwise():
@@ -318,15 +314,12 @@ def test_guarded_steps_match_reference_recursion_bitwise():
 
 
 def _delay_for_lag(cfg, lag):
-    """A delay that the simulator turns into a lag of ``lag`` steps under cfg.delay_rule."""
-    if cfg.delay_rule == "scaled":
-        return (lag + 0.5) * cfg.delta
-    return (lag + 0.5) * (cfg.n_steps + 1) / (cfg.horizon - cfg.theta)
+    """A delay that the simulator turns into a lag of ``lag`` steps on cfg's grid."""
+    return (lag + 0.5) * cfg.delta
 
 
-@pytest.mark.parametrize("rule", ["scaled", "literal"])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5])
-def test_each_delay_drift_shape_matches_reference_bitwise(n_terms, rule):
+def test_each_delay_drift_shape_matches_reference_bitwise(n_terms):
     # one compiled loop per term count: no lag, a lag inside the path, lags of
     # n_steps or more, where every step reads the starting value, and the edges
     # 1 and n_steps - 1 (last, so the earlier cases keep their draws).  The
@@ -335,18 +328,17 @@ def test_each_delay_drift_shape_matches_reference_bitwise(n_terms, rule):
     for lag in (0, 7, 300, 1000, 1, 299):
         for gamma in (0.0, 0.5, 1.0):
             seed = int(rng.integers(2**31))
-            cfg = SimConfig(n_steps=300, horizon=30.0, delay_rule=rule)
+            cfg = SimConfig(n_steps=300, horizon=30.0)
             delay = _delay_for_lag(cfg, lag) if lag else 0.0
             drift = DelayDriftSpec(*rng.uniform(0.0, 1.0, size=(9, n_terms)), delay=delay)
             _assert_matches_reference(ModelSpec(drift=drift, sigma=0.5, gamma=gamma), cfg, seed)
 
 
-@pytest.mark.parametrize("rule", ["scaled", "literal"])
 @pytest.mark.parametrize("lag", [150, 20])
-def test_early_stop_in_each_phase_matches_reference_bitwise(rule, lag):
+def test_early_stop_in_each_phase_matches_reference_bitwise(lag):
     # every term pulls toward zero: the path falls below 0.001 * y0 at step 69
     # with lag 150 (still reading y0 as the delayed state) and at step 101 with lag 20
-    cfg = SimConfig(n_steps=200, y0=1.0, delay_rule=rule)
+    cfg = SimConfig(n_steps=200, y0=1.0)
     drift = DelayDriftSpec(
         a=(10.0, 0.5, 0.2), b=(0.0,) * 3, nu=(0.5, 0.2, 0.0), c=(0.0,) * 3, d=(1.0,) * 3, e=(0.0,) * 3,
         a_hat=(1.0, 0.5, 0.3), b_hat=(0.0,) * 3, nu_hat=(0.5,) * 3, delay=_delay_for_lag(cfg, lag),
@@ -357,9 +349,8 @@ def test_early_stop_in_each_phase_matches_reference_bitwise(rule, lag):
     assert (steps <= lag) if lag == 150 else (steps > lag)
 
 
-@pytest.mark.parametrize("rule", ["scaled", "literal"])
-def test_positivity_fixes_in_both_phases_match_reference_bitwise(rule):
-    cfg = SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-6, delay_rule=rule)
+def test_positivity_fixes_in_both_phases_match_reference_bitwise():
+    cfg = SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-6)
     lag = 200
     drift = DelayDriftSpec(*np.random.default_rng(0).uniform(0.0, 1.0, size=(9, 4)), delay=_delay_for_lag(cfg, lag))
     path = _assert_matches_reference(ModelSpec(drift=drift, sigma=20.0, gamma=0.5), cfg, 0)
@@ -396,6 +387,27 @@ class TestCsv:
         write_path_csv(path, buf)
         rows = [f"{t:.17g},{y:.17g}" for t, y in zip(path.times, path.values)]
         assert buf.getvalue() == "\n".join(["t,y", *rows]) + "\n"
+
+    def test_round_trip_far_from_zero_is_bit_exact(self):
+        # at |t| ~ 1e7 one ulp of t is 1.9e-9: the written times are off the grid by that much
+        values = random_positive_path(np.random.default_rng(29), 500).values
+        path = make_path(values, delta=1e-3, theta=1e7)
+        text = _csv_text(path)
+        back = read_path_csv(io.StringIO(text))
+        assert np.array_equal(back.values, path.values) and back.theta == path.theta
+        assert back.delta == pytest.approx(path.delta, rel=1e-5)
+        assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
+
+    def test_off_grid_row_far_from_zero_is_refused(self):
+        values = random_positive_path(np.random.default_rng(29), 500).values
+        lines = _csv_text(make_path(values, delta=1e-3, theta=1e7)).splitlines()
+        t, y = lines[100].split(",")
+        lines[100] = f"{float(t) + 0.5e-3!r},{y}"  # half a step late
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO(text))
+        assert str(exc.value) == "line 101: time grid is not uniform"
+        assert _outcome(_reference_read, text) == ("error", str(exc.value))
 
     def test_header_written(self):
         buf = io.StringIO()
@@ -569,7 +581,8 @@ def _reference_read(src: io.StringIO) -> SamplePath:
     delta = times[1] - times[0]
     if delta <= 0:
         raise CsvFormatError(f"line {data_lines[1]}: time column must be strictly increasing")
-    off_grid = np.abs(np.diff(times) - delta) > 1e-9 * max(abs(delta), 1.0)
+    tol = max(1e-9 * max(abs(delta), 1.0), 4 * float(np.spacing(np.abs(times).max())))
+    off_grid = np.abs(np.diff(times) - delta) > tol
     if off_grid.any():
         raise CsvFormatError(f"line {data_lines[int(np.argmax(off_grid)) + 1]}: time grid is not uniform")
     return SamplePath(theta=times[0], delta=float(delta), values=np.array(values))
@@ -594,7 +607,7 @@ _positive_paths = st.builds(
     make_path,
     st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=40),
     delta=st.floats(1e-6, 10.0),
-    theta=st.floats(-1e3, 1e3),
+    theta=st.floats(-1e9, 1e9),
 )
 
 # each takes the two fields of a data row and gives the row's replacement
@@ -620,7 +633,9 @@ _ROW_MUTATIONS = (
 @given(_positive_paths)
 def test_reader_matches_reference_on_written_paths(path):
     text = _csv_text(path)
-    assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
+    outcome = _outcome(read_path_csv, text)
+    assert outcome == _outcome(_reference_read, text)
+    assert outcome[0] == "path" and outcome[3] == path.values.tobytes()  # every written path reads back
 
 
 @settings(max_examples=300, deadline=None)
