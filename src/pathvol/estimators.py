@@ -557,18 +557,11 @@ _A_BRACKET = (1e-6, 50.0)
 _SCAN_POINTS = 400
 
 
-def cir_backout(
-    mean_t: float,
-    var_t: float,
-    sigma: float,
-    y0: float,
-    horizon: float,
-    a_bracket: tuple[float, float] = _A_BRACKET,
-) -> tuple[float, float]:
+def cir_backout(mean_t: float, var_t: float, sigma: float, y0: float, horizon: float) -> tuple[float, float]:
     """Recover CIR (a, b) from the mean and variance of y(T).
 
     b is eliminated through the mean equation, leaving a one-dimensional
-    root search in a over ``a_bracket`` (the lower end stays above zero:
+    root search in a over ``_A_BRACKET`` (the lower end stays above zero:
     as a -> 0 the mean equation degenerates): the first sign change on a
     geometric scan, bisected down to adjacent doubles.  Raises NoSolutionError,
     carrying the sampled residual curve, if the variance residual does not
@@ -576,9 +569,7 @@ def cir_backout(
     """
     if not (sigma > 0 and y0 > 0 and horizon > 0 and var_t > 0):
         raise ValueError("sigma, y0, horizon and var_t must all be > 0")
-    lo, hi = a_bracket
-    if not (0.0 < lo < hi):
-        raise ValueError("a_bracket must satisfy 0 < lo < hi")
+    lo, hi = _A_BRACKET
     if -math.expm1(-lo * horizon) == 0.0:  # b_from_mean would divide by zero
         raise ValueError(f"horizon {horizon!r} is too small: a * horizon underflows to 0 at a = {lo!r}")
 

@@ -31,7 +31,7 @@ from .estimators import (
     METHOD_SIGMA_KNOWN_GAMMA,
     EstimatorSpec,
 )
-from .model import ModelSpec, sample_delay_drift
+from .model import ModelSpec, check_noise, sample_delay_drift
 from .simulate import DegeneratePathError, SimConfig, _check_count, euler_maruyama
 
 __all__ = [
@@ -69,8 +69,9 @@ class RandomizedDrift:
     oscillation_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.oscillation_scale >= 0.0:
-            raise ValueError("oscillation_scale must be >= 0")
+        check_noise(self.sigma, self.gamma)  # the rules of the ModelSpec each trial builds
+        if not (math.isfinite(self.oscillation_scale) and self.oscillation_scale >= 0.0):
+            raise ValueError("oscillation_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,11 @@ class DelayDriftSpec:
         if n < 1:
             raise ValueError("drift needs at least one term")
         for name in _VECTOR_FIELDS:
-            got = len(getattr(self, name))
-            if got != n:
-                raise ValueError(f"parameter vector {name!r} has length {got}, expected {n}")
+            values = getattr(self, name)
+            if len(values) != n:
+                raise ValueError(f"parameter vector {name!r} has length {len(values)}, expected {n}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"parameter vector {name!r} must be finite")
         if not (math.isfinite(self.delay) and self.delay >= 0):
             raise ValueError("delay must be finite and >= 0")
 
@@ -96,6 +98,14 @@ class DelayDriftSpec:
 
 
 DriftKind = AffineDrift | DelayDriftSpec
+
+
+def check_noise(sigma: float, gamma: float) -> None:
+    """Raise ValueError unless sigma is finite and >= 0 and gamma lies in [0, 1]."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError("gamma must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,7 @@ class ModelSpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be finite and >= 0")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must lie in [0, 1]")
+        check_noise(self.sigma, self.gamma)
 
 
 def cir_model(a: float, b: float, sigma: float) -> ModelSpec:

@@ -5,7 +5,7 @@ Paths are generated by the explicit recursion
     y(t_{k+1}) = y(t_k) + f(y(t_k), y(t_{k-l})) * delta
                  + sigma * y(t_k)**gamma * sqrt(delta) * xi_{k+1}
 
-with iid standard normal xi, t_0 = 0, step delta = horizon / n_steps and the
+with iid standard normal xi, t_0 = 0, delta = 1 / n_steps on [0, 1] and the
 whole-step lag l = floor(delay / delta) of the drift's delay.  The generator
 the caller passes is the path's only source of randomness: it draws the
 starting value y0 when the config leaves it unset, then the xi.  Two guards
@@ -96,7 +96,7 @@ class SamplePath:
 class SimConfig:
     """Grid, starting value and stopping parameters for one simulation.
 
-    The path runs on [0, horizon] in n_steps steps of delta = horizon / n_steps;
+    The path runs on [0, 1] in n_steps steps of delta = 1 / n_steps;
     a drift delay becomes the lag of floor(delay / delta) whole steps.
     y0 = None means the starting value is drawn uniformly from
     y0_range (default [0.1, 10]) with the generator passed to euler_maruyama.
@@ -105,26 +105,22 @@ class SimConfig:
     """
 
     n_steps: int
-    horizon: float = 1.0
     y0: float | None = None
     y0_range: tuple[float, float] = (0.1, 10.0)
     stop_ratio: float = 0.001
 
     def __post_init__(self) -> None:
         _check_count("n_steps", self.n_steps, 2)
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be finite and > 0")
         if self.y0 is not None and not (math.isfinite(self.y0) and self.y0 > 0):
             raise ValueError("y0 must be > 0 (or None to sample it)")
-        lo, hi = self.y0_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
+        if len(self.y0_range) != 2 or not (0 < self.y0_range[0] < self.y0_range[1] < math.inf):
             raise ValueError("y0_range must satisfy 0 < low < high")
         if not (0.0 < self.stop_ratio < 1.0):
             raise ValueError("stop_ratio must lie in (0, 1)")
 
     @property
     def delta(self) -> float:
-        return self.horizon / self.n_steps
+        return 1.0 / self.n_steps
 
 
 # Euler steps on Python floats; {items} binds xi (and x_lagged for a delay drift).
@@ -258,8 +254,9 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
 
     Blank lines are skipped; the text must be ASCII.  Each field is read as
     float() reads it, so the values are bit for bit those written.  The grid
-    must be uniform and the values positive.  Raises CsvFormatError naming
-    the first offending line.
+    must be uniform and the values positive; delta is the span of the time
+    column over its m steps.  Raises CsvFormatError naming the first
+    offending line.
     """
     text = _read_text(src)
     lines = text.splitlines()
@@ -283,13 +280,16 @@ def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
     if data is None or not np.isfinite(data).all() or not (data[:, 1] > 0).all():
         _raise_row_error(text.splitlines())
     times, values = data.T.copy()
-    delta = float(times[1] - times[0])
-    if delta <= 0:
+    step = float(times[1] - times[0])
+    if step <= 0:
         raise CsvFormatError(f"line {_data_line(text.splitlines(), 1)}: time column must be strictly increasing")
     # the written times are rounded to doubles: allow a few ulps of the largest |t|
-    tol = max(1e-9 * max(abs(delta), 1.0), 4 * float(np.spacing(np.abs(times).max())))
-    off_grid = np.abs(np.diff(times) - delta) > tol
+    tol = max(1e-9 * max(step, 1.0), 4 * float(np.spacing(np.abs(times).max())))
+    steps = np.diff(times)
+    off_grid = (np.abs(steps - step) > tol) | (steps <= 0)
     if off_grid.any():
         row = int(np.argmax(off_grid)) + 1  # the row that ends the first off-grid step
         raise CsvFormatError(f"line {_data_line(text.splitlines(), row)}: time grid is not uniform")
+    # the span carries the rounding of two written times, not of two per step
+    delta = float(times[-1] - times[0]) / (n - 1)
     return SamplePath(theta=float(times[0]), delta=delta, values=values)

@@ -160,6 +160,16 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "'n_terms'" in capsys.readouterr().err
 
+    def test_non_finite_term_is_usage_error_naming_it(self, tmp_path, capsys):
+        spec = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
+        text = format_model_config(spec) + "term_a=" + ",".join(["nan"] * spec.drift.n_terms) + "\n"
+        cfg, out = write_csv(tmp_path, "model.cfg", text), tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--config", str(cfg), "--y0", "1", "--n", "10", "--out", str(out))
+        assert exc.value.code == 2
+        assert "parameter vector 'a' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_is_usage_error(self, tmp_path):
         cfg = write_csv(tmp_path, "model.cfg", "model=banana\n")
         with pytest.raises(SystemExit) as exc:

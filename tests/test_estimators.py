@@ -597,8 +597,6 @@ class TestCirMoments:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cir_backout(1.0, -0.1, 0.3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cir_backout(1.0, 0.1, 0.3, 1.0, 1.0, a_bracket=(1.0, 0.5))
 
     def test_importing_the_package_does_not_load_scipy_optimize(self):
         code = "import sys, pathvol; print('scipy' in sys.modules)"

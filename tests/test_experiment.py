@@ -126,6 +126,24 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="oscillation_scale"):
             RandomizedDrift(sigma=0.3, gamma=0.6, oscillation_scale=-0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(sigma=-1.0, gamma=3.0), "sigma must be finite and >= 0"),
+            (dict(sigma=math.inf), "sigma must be finite and >= 0"),
+            (dict(gamma=3.0), "gamma must lie in [0, 1]"),
+            (dict(gamma=math.nan), "gamma must lie in [0, 1]"),
+            (dict(oscillation_scale=math.inf), "oscillation_scale must be finite and >= 0"),
+            (dict(oscillation_scale=math.nan), "oscillation_scale must be finite and >= 0"),
+        ],
+        ids=["negative-sigma", "inf-sigma", "gamma-above-1", "nan-gamma", "inf-scale", "nan-scale"],
+    )
+    def test_randomized_drift_refusals_in_full(self, kwargs, message):
+        # sigma and gamma by ModelSpec's rules, so no trial fails on the model it builds
+        with pytest.raises(ValueError) as exc:
+            RandomizedDrift(**{"sigma": 0.3, "gamma": 0.6, **kwargs})
+        assert str(exc.value) == message
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
             tiny_config(trials=0)

@@ -149,8 +149,11 @@ class TestSpecValidation:
             ({}, -0.1, ValueError, "delay must be finite and >= 0"),
             ({}, math.nan, ValueError, "delay must be finite and >= 0"),
             ({}, math.inf, ValueError, "delay must be finite and >= 0"),
+            ({"a": (math.nan,)}, 0.0, ValueError, "parameter vector 'a' must be finite"),
+            ({"e": (-math.inf,)}, 0.0, ValueError, "parameter vector 'e' must be finite"),
         ],
-        ids=["long", "short", "no-terms", "convert-first", "none", "negative-delay", "nan-delay", "inf-delay"],
+        ids=["long", "short", "no-terms", "convert-first", "none", "negative-delay", "nan-delay", "inf-delay",
+             "nan-term", "inf-term"],
     )
     def test_delay_spec_refusals_in_full(self, vectors, delay, error, message):
         fields = {name: (0.5,) for name in _VECTOR_FIELDS}

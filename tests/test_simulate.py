@@ -75,13 +75,12 @@ class TestSamplePath:
 class TestSimConfig:
     def test_delta(self):
         assert SimConfig(n_steps=250).delta == pytest.approx(1 / 250)
-        assert SimConfig(n_steps=10, horizon=2.0).delta == pytest.approx(0.2)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(n_steps=1),
-            dict(n_steps=10, horizon=0.0),
+            dict(n_steps=10, y0_range=(0.1, 1.0, 10.0)),
             dict(n_steps=10, y0=0.0),
             dict(n_steps=10, y0=-1.0),
             dict(n_steps=10, y0_range=(0.0, 1.0)),
@@ -89,12 +88,11 @@ class TestSimConfig:
             dict(n_steps=10, y0_range=(1.0, float("inf"))),
             dict(n_steps=10, stop_ratio=0.0),
             dict(n_steps=10, stop_ratio=1.0),
-            dict(n_steps=10, horizon=float("inf")),
-            dict(n_steps=10, horizon=float("nan")),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the refused setting, the last one given
+        with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} "):
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("n_steps", [2.5, True, 10.0])
@@ -322,16 +320,20 @@ def _delay_for_lag(cfg, lag):
 def test_each_delay_drift_shape_matches_reference_bitwise(n_terms):
     # one compiled loop per term count: no lag, a lag inside the path, lags of
     # n_steps or more, where every step reads the starting value, and the edges
-    # 1 and n_steps - 1 (last, so the earlier cases keep their draws).  The
-    # coarse grid (delta = 0.1) lets a one-ulp change in the drift show in the path.
+    # 1 and n_steps - 1 (last, so the earlier cases keep their draws).  Drift
+    # rates a, c, a_hat times 30 and sigma times sqrt(30) give each step of
+    # delta = 1/300 the size of a step of 0.1, so a one-ulp change in the drift
+    # shows in the path.
     rng = np.random.default_rng(n_terms)
+    cfg = SimConfig(n_steps=300)
+    rates = np.array([30.0, 1.0, 1.0, 30.0, 1.0, 1.0, 30.0, 1.0, 1.0])[:, None]  # rows a, b, nu, c, ..., nu_hat
     for lag in (0, 7, 300, 1000, 1, 299):
         for gamma in (0.0, 0.5, 1.0):
             seed = int(rng.integers(2**31))
-            cfg = SimConfig(n_steps=300, horizon=30.0)
             delay = _delay_for_lag(cfg, lag) if lag else 0.0
-            drift = DelayDriftSpec(*rng.uniform(0.0, 1.0, size=(9, n_terms)), delay=delay)
-            _assert_matches_reference(ModelSpec(drift=drift, sigma=0.5, gamma=gamma), cfg, seed)
+            drift = DelayDriftSpec(*rates * rng.uniform(0.0, 1.0, size=(9, n_terms)), delay=delay)
+            model = ModelSpec(drift=drift, sigma=0.5 * math.sqrt(30.0), gamma=gamma)
+            _assert_matches_reference(model, cfg, seed)
 
 
 @pytest.mark.parametrize("lag", [150, 20])
@@ -395,7 +397,8 @@ class TestCsv:
         text = _csv_text(path)
         back = read_path_csv(io.StringIO(text))
         assert np.array_equal(back.values, path.values) and back.theta == path.theta
-        assert back.delta == pytest.approx(path.delta, rel=1e-5)
+        # the step is the span over m steps: the two rounded end times put it off by under one ulp of t over m
+        assert abs(back.delta - path.delta) <= np.spacing(path.times[-1]) / path.m
         assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
 
     def test_off_grid_row_far_from_zero_is_refused(self):
@@ -456,9 +459,11 @@ class TestCsv:
             ("t,y\n0,1\n", "line 2: need at least 2 data rows"),
             ("t,y\n\n\n0,1\n0,2\n", "line 5: time column must be strictly increasing"),
             ("t,y\n0,1\n0.1,2\n0.15,3\n", "line 4: time grid is not uniform"),
+            # a backward step within the tolerance of a tiny first step
+            ("t,y\n0,1\n1e-12,2\n-1e-10,3\n", "line 4: time grid is not uniform"),
         ],
         ids=["empty", "header", "field-count", "non-numeric", "non-finite", "nonpositive",
-             "row-count", "not-increasing", "off-grid"],
+             "row-count", "not-increasing", "off-grid", "backward-step"],
     )
     def test_error_messages_in_full(self, text, message):
         with pytest.raises(CsvFormatError) as exc:
@@ -578,14 +583,14 @@ def _reference_read(src: io.StringIO) -> SamplePath:
         values.append(y)
     if len(values) < 2:
         raise CsvFormatError(f"line {len(lines)}: need at least 2 data rows")
-    delta = times[1] - times[0]
-    if delta <= 0:
+    step = times[1] - times[0]
+    if step <= 0:
         raise CsvFormatError(f"line {data_lines[1]}: time column must be strictly increasing")
-    tol = max(1e-9 * max(abs(delta), 1.0), 4 * float(np.spacing(np.abs(times).max())))
-    off_grid = np.abs(np.diff(times) - delta) > tol
-    if off_grid.any():
-        raise CsvFormatError(f"line {data_lines[int(np.argmax(off_grid)) + 1]}: time grid is not uniform")
-    return SamplePath(theta=times[0], delta=float(delta), values=np.array(values))
+    tol = max(1e-9 * max(step, 1.0), 4 * float(np.spacing(np.abs(times).max())))
+    for row in range(1, len(times)):
+        if not (0 < times[row] - times[row - 1] and abs(times[row] - times[row - 1] - step) <= tol):
+            raise CsvFormatError(f"line {data_lines[row]}: time grid is not uniform")
+    return SamplePath(theta=times[0], delta=(times[-1] - times[0]) / (len(times) - 1), values=np.array(values))
 
 
 def _outcome(reader, text: str):
@@ -636,6 +641,8 @@ def test_reader_matches_reference_on_written_paths(path):
     outcome = _outcome(read_path_csv, text)
     assert outcome == _outcome(_reference_read, text)
     assert outcome[0] == "path" and outcome[3] == path.values.tobytes()  # every written path reads back
+    step = np.frombuffer(outcome[2])[0]
+    assert abs(step - path.delta) <= 4 * np.spacing(np.abs(path.times).max()) / path.m
 
 
 @settings(max_examples=300, deadline=None)
