@@ -6,7 +6,7 @@ discretely observed path using increment functionals that need no drift
 model.  A Monte-Carlo harness reruns the benchmark error tables the
 estimators are validated against.
 """
-from .auxprocess import AuxSeries, compute_aux, log_modulus_complex_oracle
+from .auxprocess import AuxSeries, compute_aux
 from .estimators import (
     EstimateResult,
     EstimatorSpec,
@@ -37,7 +37,6 @@ from .model import (
     ModelSpec,
     cir_model,
     ckls_model,
-    eval_drift,
     format_model_config,
     parse_model_config,
     sample_delay_drift,

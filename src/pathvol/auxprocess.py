@@ -11,8 +11,8 @@ The complex product prod_k (1 + i * eta[k]) has log-modulus
 an exact identity (|1 + i*eta|^2 = 1 + eta^2 per factor).  The half-sum
 form is the one used everywhere in the estimators: each term is computed
 with log1p, so eta as small as 1e-9 still contributes, and it cannot
-overflow no matter how long the path.  The direct complex product is kept
-as an independent cross-check oracle.
+overflow no matter how long the path.  The test suite checks it against
+the complex product multiplied out directly.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .simulate import SamplePath
 
-__all__ = ["AuxSeries", "compute_aux", "log_modulus_complex_oracle"]
+__all__ = ["AuxSeries", "compute_aux"]
 
 
 @dataclass(frozen=True)
@@ -53,29 +53,3 @@ def compute_aux(path: SamplePath, h: float) -> AuxSeries:
     running = 0.5 * np.cumsum(v)
     return AuxSeries(h=float(h), eta=eta, v=v, log_modulus_running=running, v_bar=float(v.mean()))
 
-
-def log_modulus_complex_oracle(eta: np.ndarray) -> float:
-    """log of the modulus of prod_k (1 + i * eta[k]) by explicit complex multiplication.
-
-    Independent of compute_aux: the factors are multiplied out in extended
-    precision, in chunks, renormalizing whenever the running product leaves
-    a safe magnitude range, so very long products neither overflow nor
-    drown the comparison in accumulated rounding.
-    """
-    values = np.asarray(eta, dtype=float)
-    if values.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(values)):
-        raise ValueError("eta values must be finite")
-    factors = np.empty(values.size, dtype=np.clongdouble)
-    factors.real = 1.0
-    factors.imag = values
-    total = 0.0
-    z = np.clongdouble(1.0)
-    for start in range(0, factors.size, 64):
-        z = z * np.prod(factors[start : start + 64])
-        mag = np.abs(z)
-        if not (1e-150 < float(mag) < 1e150):
-            total += float(np.log(mag))
-            z = z / mag
-    return total + float(np.log(np.abs(z)))

@@ -11,9 +11,7 @@ to stress-test the estimators on paths far from any parametric family.
 """
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,6 @@ __all__ = [
     "ModelSpec",
     "cir_model",
     "ckls_model",
-    "eval_drift",
     "sample_delay_drift",
     "format_drift",
     "format_model_config",
@@ -134,13 +131,12 @@ def ckls_model(a: float, b: float, sigma: float, gamma: float) -> ModelSpec:
     return ModelSpec(drift=AffineDrift(a, b), sigma=sigma, gamma=gamma)
 
 
-@functools.cache
 def drift_source(n_terms: int) -> tuple[str, str]:
     """(constant names, drift expression in x and x_lagged) for n_terms delay terms; 0 is affine.
 
-    The one source of the drift, which eval_drift and the simulator's
-    loops compile with the constants as arguments: the terms are added left
-    to right, from 0.0, in eval_drift's order.
+    The one source of the drift, which the simulator's loop compiles with
+    the constants as arguments: the terms are added left to right, from 0.0,
+    in the order DelayDriftSpec writes them.
     """
     if n_terms == 0:
         return "a, ab", "ab - a*x"
@@ -158,26 +154,6 @@ def drift_constants(drift: DriftKind) -> tuple[float, ...]:
     for a, b, nu, c, d, e, a_hat, b_hat, nu_hat in zip(*vectors):
         constants += (a, b, nu + 0.5, c, d, e, 0.1 * a_hat, b_hat, nu_hat + 0.5)
     return constants
-
-
-@functools.cache
-def compile_source(source: str, name: str) -> Callable:
-    """The function ``name`` defined by generated source that may call cos."""
-    exec(source, namespace := {"cos": math.cos})
-    return namespace[name]
-
-
-def eval_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
-    """Drift value at state x; x_lagged feeds the delayed terms only.
-
-    Affine drifts ignore x_lagged.  Both states must be positive so the
-    fractional powers are defined.
-    """
-    if x <= 0.0 or x_lagged <= 0.0:
-        raise ValueError("drift is defined for positive states only")
-    names, expr = drift_source(spec.drift.n_terms)
-    drift = compile_source(f"def drift({names}, x, x_lagged):\n    return {expr}\n", "drift")
-    return drift(*drift_constants(spec.drift), x, x_lagged)
 
 
 def sample_delay_drift(rng: np.random.Generator, c_scale: float = 1.0) -> DelayDriftSpec:

@@ -16,9 +16,9 @@ simulation stops early the first time the retained value falls to
 at the starting value: step k reads y(t_{k-l}) from one iterator that yields
 y0 l times and then the growing path.  The steps run on Python floats in a
 loop compiled once per drift shape (affine, or n delay terms) with
-``model.drift_source`` inline, the same terms added in the same order as
-``eval_drift``; each step computes bit for bit what the recursion above gives
-with ``eval_drift``, from the same draws.
+``model.drift_source`` inline: the drift's terms added left to right in the
+order ``model.DelayDriftSpec`` writes them, so each step computes bit for bit
+what the recursion above gives with that written sum, from the same draws.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import IO, NoReturn
 
 import numpy as np
 
-from .model import ModelSpec, compile_source, drift_constants, drift_source
+from .model import ModelSpec, drift_constants, drift_source
 
 __all__ = [
     "DegeneratePathError",
@@ -150,7 +150,8 @@ def _step_loop(n_terms: int) -> Callable[..., int]:
     """
     names, drift = drift_source(n_terms)
     items = "xi, x_lagged in zip(noise, delayed)" if n_terms else "xi in noise"
-    return compile_source(_LOOP.format(names=names, items=items, drift=drift), "steps")
+    exec(_LOOP.format(names=names, items=items, drift=drift), namespace := {"cos": math.cos})
+    return namespace["steps"]
 
 
 def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -> SamplePath:
@@ -159,8 +160,8 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
     ``rng`` is consumed, in order: the starting value
     ``rng.uniform(*cfg.y0_range)`` (only when cfg.y0 is None) and then
     n_steps standard normals, so results do not depend on whether the path
-    stops early.  The step arithmetic, on Python floats, is that of calling
-    ``eval_drift`` at every step.
+    stops early.  The step arithmetic, on Python floats, is that of the
+    recursion in the module docstring with the drift's written sum.
     """
     y0 = float(cfg.y0 if cfg.y0 is not None else rng.uniform(*cfg.y0_range))
     delta = cfg.delta

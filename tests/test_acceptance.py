@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_path, random_positive_path
-from pathvol.auxprocess import compute_aux, log_modulus_complex_oracle
+from conftest import log_modulus_complex_oracle, make_path, random_positive_path
+from pathvol.auxprocess import compute_aux
 from pathvol.estimators import (
     cir_backout,
     cir_mean,

@@ -215,7 +215,7 @@ class TestEstimate:
         assert out_lines[0] == EstimateResult.CSV_HEADER
         fields = out_lines[1].split(",")
         assert fields[0] == "sigma-known-gamma"
-        assert float(fields[2]) == pytest.approx(0.997513451195927, rel=1e-13)
+        assert float(fields[2]) == pytest.approx(0.997513451195927, rel=1e-13, abs=0)
 
     def test_simulate_then_estimate_round_trip(self, tmp_path, capsys):
         src = tmp_path / "path.csv"
@@ -243,7 +243,7 @@ class TestEstimate:
         ) == 0
         fields = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert fields[0] == "integrated-sigma-sq"
-        assert float(fields[2]) == pytest.approx(0.997513451195927, rel=1e-13)
+        assert float(fields[2]) == pytest.approx(0.997513451195927, rel=1e-13, abs=0)
 
     def test_malformed_csv_exit_2_names_line(self, tmp_path, capsys):
         src = write_csv(tmp_path, "bad.csv", "t,y\n0,1\nbad,row\n")
@@ -362,7 +362,7 @@ class TestEstimate:
         out, err = capsys.readouterr()
         assert err == ""
         sigma_hat = float(out.splitlines()[1].split(",")[2])
-        assert sigma_hat == pytest.approx(2.583831492018e-158, rel=1e-12)
+        assert sigma_hat == pytest.approx(2.583831492018e-158, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sigma", ["1e-100", "1e-200"])
     def test_level_term_out_of_float_range_exit_1(self, tmp_path, capsys, sigma):

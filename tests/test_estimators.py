@@ -48,7 +48,7 @@ class TestSigmaKnownGamma:
     def test_two_point_frozen_oracle(self):
         # eta = 0.2/sqrt(4) = 0.1; sigma^2 = log(1.01)/(0.01 * 4.2^0)
         result = sigma_known_gamma(make_path([4.0, 4.2], delta=0.01), gamma=0.5, h=0.5)
-        assert result.sigma_hat == pytest.approx(0.997513451195927, rel=1e-14)
+        assert result.sigma_hat == pytest.approx(0.997513451195927, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.6, 1.0])
     def test_h_defaults_to_gamma(self, gamma):
@@ -59,7 +59,7 @@ class TestSigmaKnownGamma:
         # path [1, 4, 9], gamma=1, h=0, delta=1: weights 4^2 + 9^2 = 97,
         # not 1 + 16 = 17; frozen from a hand computation
         result = sigma_known_gamma(make_path([1.0, 4.0, 9.0], delta=1.0), gamma=1.0, h=0.0)
-        assert result.sigma_hat**2 == pytest.approx(0.057326614752737405, rel=1e-14)
+        assert result.sigma_hat**2 == pytest.approx(0.057326614752737405, rel=1e-14, abs=0)
 
     def test_recovers_scale_on_long_path(self):
         result = sigma_known_gamma(simulated_path(), gamma=0.6, h=0.6)
@@ -151,7 +151,7 @@ class TestJointEstimate:
         path = simulated_path(n=1000, seed=7)
         result = joint_estimate(path)
         v_bar = compute_aux(path, result.gamma_hat).v_bar
-        assert result.sigma_hat == pytest.approx(math.sqrt(v_bar / path.delta), rel=1e-12)
+        assert result.sigma_hat == pytest.approx(math.sqrt(v_bar / path.delta), rel=1e-12, abs=0)
 
     def test_search_range_restricts_candidates(self):
         path = simulated_path(n=300, seed=8)
@@ -467,7 +467,7 @@ def test_infinite_weight_gives_finite_answer():
     total = float(compute_aux(path, 0.0).v.sum())
     sigma_sq = Decimal(total) / (Decimal(path.delta) * Decimal(float(path.values[1])) ** 2)
     sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
-    assert sigma_hat == pytest.approx(float(sigma_sq.sqrt()), rel=1e-12)
+    assert sigma_hat == pytest.approx(float(sigma_sq.sqrt()), rel=1e-12, abs=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -522,7 +522,7 @@ class TestIntegratedSigmaSq:
     def test_matches_series_sum(self):
         path = simulated_path(n=500, seed=11)
         total = integrated_sigma_sq(path, gamma=0.6)
-        assert total == pytest.approx(float(np.sum(compute_aux(path, 0.6).v)), rel=1e-14)
+        assert total == pytest.approx(float(np.sum(compute_aux(path, 0.6).v)), rel=1e-14, abs=0)
 
     def test_estimates_integral_of_constant_scale(self):
         path = simulated_path(n=20_000, seed=12)
@@ -551,12 +551,12 @@ class TestIntegratedSigmaSq:
 class TestCirMoments:
     def test_mean_fixed_point(self):
         # starting at the reversion level keeps the mean there
-        assert cir_mean(a=1.0, b=1.0, y0=1.0, horizon=1.0) == pytest.approx(1.0, rel=1e-15)
+        assert cir_mean(a=1.0, b=1.0, y0=1.0, horizon=1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_frozen_values(self):
-        assert cir_mean(1.0, 2.0, 0.5, 2.0) == pytest.approx(1.796997075145081, rel=1e-14)
+        assert cir_mean(1.0, 2.0, 0.5, 2.0) == pytest.approx(1.796997075145081, rel=1e-14, abs=0)
         assert cir_variance(1.0, 2.0, 0.4, 0.5, 2.0) == pytest.approx(
-            0.14770792622997228, rel=1e-14
+            0.14770792622997228, rel=1e-14, abs=0
         )
 
     def test_analytic_round_trip_tight(self):
@@ -597,6 +597,13 @@ class TestCirMoments:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cir_backout(1.0, -0.1, 0.3, 1.0, 1.0)
+
+    def test_root_on_a_scan_point_is_returned_exactly(self, monkeypatch):
+        # residual a - a_star, zero on a scan point: the scan returns that point, not the double below it
+        a_star = np.geomspace(*pathvol.estimators._A_BRACKET, pathvol.estimators._SCAN_POINTS).tolist()[200]
+        monkeypatch.setattr(pathvol.estimators, "cir_variance", lambda a, b, sigma, y0, horizon: a)
+        a_hat, _ = cir_backout(mean_t=1.0, var_t=a_star, sigma=1.0, y0=1.0, horizon=1.0)
+        assert a_hat == a_star
 
     def test_importing_the_package_does_not_load_scipy_optimize(self):
         code = "import sys, pathvol; print('scipy' in sys.modules)"

@@ -47,15 +47,15 @@ class TestErrorStats:
 
     def test_frozen_oracle(self):
         stats = experiment._aggregate(np.array([0.3, 0.1]), 0)
-        assert stats.rmse == pytest.approx(0.22360679774997896, rel=1e-15)
-        assert stats.mae == pytest.approx(0.2, rel=1e-14)
-        assert stats.bias == pytest.approx(0.2, rel=1e-14)
+        assert stats.rmse == pytest.approx(0.22360679774997896, rel=1e-15, abs=0)
+        assert stats.mae == pytest.approx(0.2, rel=1e-14, abs=0)
+        assert stats.bias == pytest.approx(0.2, rel=1e-14, abs=0)
         assert stats.n_effective == 2 and stats.failures == 0
 
     def test_signs_cancel_in_bias_not_in_rmse(self):
         stats = experiment._aggregate(np.array([0.1, -0.1]), 0)
         assert stats.bias == 0.0
-        assert stats.rmse == pytest.approx(0.1, rel=1e-14)
+        assert stats.rmse == pytest.approx(0.1, rel=1e-14, abs=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -201,7 +201,7 @@ class TestEstimatorSpec:
 class TestRmseSe:
     def test_frozen_oracle(self):
         # sd(e**2) / (2 * rmse * sqrt(5)) in 40-digit decimal arithmetic
-        assert rmse_se([0.1, -0.2, 0.05, 0.3, -0.15]) == pytest.approx(0.04293891009329417, rel=1e-14)
+        assert rmse_se([0.1, -0.2, 0.05, 0.3, -0.15]) == pytest.approx(0.04293891009329417, rel=1e-14, abs=0)
 
     def test_agrees_with_a_bootstrap(self):
         errors = np.random.default_rng(2024).normal(0.01, 0.03, 300)
@@ -323,4 +323,4 @@ class TestTables:
     def test_ratio_definition(self):
         report = reproduce_table("t1b", trials=2)
         row = report.rows[0]
-        assert row.ratio == pytest.approx(row.stats.rmse / row.paper_rmse, rel=1e-15)
+        assert row.ratio == pytest.approx(row.stats.rmse / row.paper_rmse, rel=1e-15, abs=0)

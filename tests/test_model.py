@@ -1,4 +1,4 @@
-"""Model specs, drift evaluation, the drift sampler, and config round trips."""
+"""Model specs, the rendered drift source, the drift sampler, and config round trips."""
 from __future__ import annotations
 
 import dataclasses
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drift_value
 from pathvol.model import (
     _VECTOR_FIELDS,
     AffineDrift,
@@ -16,11 +17,19 @@ from pathvol.model import (
     ModelSpec,
     cir_model,
     ckls_model,
-    eval_drift,
+    drift_constants,
+    drift_source,
     format_model_config,
     parse_model_config,
     sample_delay_drift,
 )
+
+
+def rendered_drift(spec: ModelSpec, x: float, x_lagged: float) -> float:
+    """The drift as the simulator's loop computes it: drift_source compiled, called with drift_constants."""
+    names, expr = drift_source(spec.drift.n_terms)
+    exec(f"def drift({names}, x, x_lagged):\n    return {expr}\n", namespace := {"cos": math.cos})
+    return namespace["drift"](*drift_constants(spec.drift), x, x_lagged)
 
 
 def one_term(a=0.0, b=0.0, nu=0.0, c=0.0, d=0.0, e=0.0, a_hat=0.0, b_hat=0.0, nu_hat=0.0, delay=0.0):
@@ -31,10 +40,12 @@ def one_term(a=0.0, b=0.0, nu=0.0, c=0.0, d=0.0, e=0.0, a_hat=0.0, b_hat=0.0, nu
 
 
 class TestEvalDrift:
+    """The drift the simulator renders, at states whose value is worked out by hand."""
+
     def test_single_term_mean_reversion_at_fixed_point_is_zero(self):
         # a*(b - x**(nu+1/2)) = 1*(1 - 1**1) = 0, all other terms zeroed
         spec = ModelSpec(drift=one_term(a=1.0, b=1.0, nu=0.5), sigma=0.1, gamma=0.5)
-        assert eval_drift(spec, x=1.0, x_lagged=123.0) == 0.0
+        assert rendered_drift(spec, x=1.0, x_lagged=123.0) == 0.0
 
     def test_single_term_cancellation(self):
         # -1 (power term) + 1 (cosine at angle 0) + 0.1*1*(1-1) = 0
@@ -43,15 +54,15 @@ class TestEvalDrift:
             sigma=0.1,
             gamma=0.5,
         )
-        assert eval_drift(spec, x=1.0, x_lagged=1.0) == 0.0
+        assert rendered_drift(spec, x=1.0, x_lagged=1.0) == 0.0
 
     def test_affine_drift_value(self):
         spec = ckls_model(a=2.0, b=1.5, sigma=0.3, gamma=0.7)
-        assert eval_drift(spec, x=0.5, x_lagged=0.5) == pytest.approx(2.0 * (1.5 - 0.5))
+        assert rendered_drift(spec, x=0.5, x_lagged=0.5) == pytest.approx(2.0 * (1.5 - 0.5))
 
     def test_affine_ignores_lagged_state(self):
         spec = cir_model(a=1.0, b=1.0, sigma=0.3)
-        assert eval_drift(spec, 0.7, 0.1) == eval_drift(spec, 0.7, 9.0)
+        assert rendered_drift(spec, 0.7, 0.1) == rendered_drift(spec, 0.7, 9.0)
 
     def test_multi_term_sum(self):
         spec = ModelSpec(
@@ -69,13 +80,7 @@ class TestEvalDrift:
             + 1.0 * (2.0 - x**0.5)
             + 0.3 * math.cos(1.0 * x + 0.5)
         )
-        assert eval_drift(spec, x, x_lag) == pytest.approx(expected, rel=1e-15)
-
-    @pytest.mark.parametrize("x,x_lag", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_nonpositive_states_rejected(self, x, x_lag):
-        spec = cir_model(1.0, 1.0, 0.3)
-        with pytest.raises(ValueError, match="positive"):
-            eval_drift(spec, x, x_lag)
+        assert rendered_drift(spec, x, x_lag) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def _delay_drifts():
@@ -97,17 +102,7 @@ def _delay_drifts():
 )
 def test_eval_drift_is_the_written_formula_bitwise(drift, x, x_lag):
     spec = ModelSpec(drift=drift, sigma=0.3, gamma=0.5)
-    value = eval_drift(spec, x, x_lag)
-    if isinstance(drift, AffineDrift):
-        expected = drift.a * drift.b - drift.a * x
-    else:
-        # the documented sum, term by term in the order it is written
-        expected = 0.0
-        for k in range(drift.n_terms):
-            expected += drift.a[k] * (drift.b[k] - x ** (drift.nu[k] + 0.5))
-            expected += drift.c[k] * math.cos(drift.d[k] * x + drift.e[k])
-            expected += 0.1 * drift.a_hat[k] * (drift.b_hat[k] - x_lag ** (drift.nu_hat[k] + 0.5))
-    assert value == expected
+    assert rendered_drift(spec, x, x_lag) == drift_value(spec, x, x_lag)
 
 
 class TestSpecValidation:
@@ -310,4 +305,4 @@ class TestConfigRoundTrip:
 )
 def test_affine_drift_matches_closed_form(a, b, x):
     spec = ModelSpec(drift=AffineDrift(a, b), sigma=0.1, gamma=0.5)
-    assert eval_drift(spec, x, x) == pytest.approx(a * b - a * x, rel=1e-12, abs=1e-12)
+    assert rendered_drift(spec, x, x) == pytest.approx(a * b - a * x, rel=1e-12, abs=1e-12)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_path, random_positive_path
-from pathvol.model import DelayDriftSpec, ModelSpec, ckls_model, cir_model, eval_drift, sample_delay_drift
+from conftest import drift_value, make_path, random_positive_path
+from pathvol.model import DelayDriftSpec, ModelSpec, ckls_model, cir_model, sample_delay_drift
 from pathvol.simulate import (
     CsvFormatError,
     DegeneratePathError,
@@ -225,7 +225,7 @@ class TestRecursion:
         expected = 2.0
         for _ in range(5):
             expected = expected + 0.1 * 1.0 * (0.0 - 2.0**1.0) * delta
-        assert path.values[5] == pytest.approx(expected, rel=1e-14)
+        assert path.values[5] == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,14 +254,14 @@ def test_simulation_determinism_property(seed):
 
 
 def reference_euler(model, cfg, rng):
-    """The step loop written plainly: eval_drift per step, np.float64 noise."""
+    """The step loop written plainly: drift_value per step, np.float64 noise."""
     y0 = cfg.y0 if cfg.y0 is not None else float(rng.uniform(*cfg.y0_range))
     lag = math.floor(getattr(model.drift, "delay", 0.0) / cfg.delta)
     noise = rng.standard_normal(cfg.n_steps)
     values, fixes, stopped = [float(y0)], 0, False
     for k in range(1, cfg.n_steps + 1):
         prev = values[-1]
-        drift = eval_drift(model, prev, values[max(k - 1 - lag, 0)])
+        drift = drift_value(model, prev, values[max(k - 1 - lag, 0)])
         nxt = prev + drift * cfg.delta + model.sigma * prev**model.gamma * math.sqrt(cfg.delta) * noise[k - 1]
         if nxt <= 0.0:
             nxt = prev
@@ -369,7 +369,7 @@ class TestCsv:
         write_path_csv(path, buf)
         back = read_path_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.values, path.values)
-        assert back.delta == pytest.approx(path.delta, rel=1e-12)
+        assert back.delta == pytest.approx(path.delta, rel=1e-12, abs=0)
         assert back.theta == path.theta
 
     def test_round_trip_extreme_magnitudes(self):
@@ -411,6 +411,17 @@ class TestCsv:
             read_path_csv(io.StringIO(text))
         assert str(exc.value) == "line 101: time grid is not uniform"
         assert _outcome(_reference_read, text) == ("error", str(exc.value))
+
+    def test_grid_tolerance_grows_with_a_long_step(self):
+        # at step 1000 a time may sit 1e-9 of the step, 1e-6, off the grid
+        def text(jitter):
+            return f"t,y\n0,1\n1000,2\n{2000 + jitter!r},3\n3000,4\n"
+
+        back = read_path_csv(io.StringIO(text(5e-7)))
+        assert (back.theta, back.delta) == (0.0, 1000.0)
+        with pytest.raises(CsvFormatError) as exc:
+            read_path_csv(io.StringIO(text(2e-6)))
+        assert str(exc.value) == "line 4: time grid is not uniform"
 
     def test_header_written(self):
         buf = io.StringIO()
