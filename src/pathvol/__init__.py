@@ -23,7 +23,6 @@ from .estimators import (
 from .experiment import (
     AllTrialsFailedError,
     ExperimentConfig,
-    RandomizedDrift,
     TableReport,
     TrialStats,
     reproduce_table,

@@ -565,8 +565,10 @@ def cir_backout(mean_t: float, var_t: float, sigma: float, y0: float, horizon: f
     as a -> 0 the mean equation degenerates): the first sign change on a
     geometric scan, bisected down to adjacent doubles.  Raises NoSolutionError,
     carrying the sampled residual curve, if the variance residual does not
-    change sign on the bracket.
+    change sign on the bracket.  horizon = inf gives the stationary answer.
     """
+    if not all(map(math.isfinite, (mean_t, var_t, sigma, y0))):
+        raise ValueError("mean_t, var_t, sigma and y0 must be finite")
     if not (sigma > 0 and y0 > 0 and horizon > 0 and var_t > 0):
         raise ValueError("sigma, y0, horizon and var_t must all be > 0")
     lo, hi = _A_BRACKET

@@ -74,6 +74,8 @@ class SamplePath:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and > 0")
         if vals.ndim != 1 or vals.size < 2:

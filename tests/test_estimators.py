@@ -597,6 +597,15 @@ class TestCirMoments:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cir_backout(1.0, -0.1, 0.3, 1.0, 1.0)
+        # a non-finite input is refused up front, not by a NoSolutionError over a nan residual curve
+        base = dict(mean_t=1.0, var_t=0.01, sigma=0.3, y0=1.0, horizon=1.0)
+        for name in ("mean_t", "var_t", "sigma", "y0"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="mean_t, var_t, sigma and y0 must be finite"):
+                    cir_backout(**{**base, name: value})
+        # an infinite horizon is the stationary law: mean b, variance sigma**2 * b / (2 * a)
+        a_hat, b_hat = cir_backout(1.0, 0.0225, 0.3, 1.0, math.inf)
+        assert a_hat == pytest.approx(2.0, rel=1e-9) and b_hat == pytest.approx(1.0, rel=1e-9)
 
     def test_root_on_a_scan_point_is_returned_exactly(self, monkeypatch):
         # residual a - a_star, zero on a scan point: the scan returns that point, not the double below it

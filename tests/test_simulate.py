@@ -67,6 +67,13 @@ class TestSamplePath:
             SamplePath(theta=0.0, delta=delta, values=values)
         assert type(exc.value) is error and str(exc.value) == message
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_refused(self, theta):
+        # a non-finite start would be written as a time that read_path_csv refuses
+        with pytest.raises(ValueError) as exc:
+            SamplePath(theta=theta, delta=0.1, values=[1.0, 2.0])
+        assert type(exc.value) is ValueError and str(exc.value) == "theta must be finite"
+
     def test_values_become_a_float_array(self):
         path = SamplePath(theta=0.0, delta=0.5, values=[1, 2, 3])
         assert path.values.dtype == np.float64 and path.values.tolist() == [1.0, 2.0, 3.0]
@@ -423,6 +430,32 @@ class TestCsv:
             read_path_csv(io.StringIO(text(2e-6)))
         assert str(exc.value) == "line 4: time grid is not uniform"
 
+    @pytest.mark.parametrize(
+        "theta, step, jitter, refusal",
+        [
+            # 1e-9 of a unit step
+            (0.0, 1.0, 5e-10, None),
+            (0.0, 1.0, 2e-9, "line 4: time grid is not uniform"),
+            # 1e-9 still below a unit step
+            (0.0, 0.01, 5e-10, None),
+            (0.0, 0.01, 2e-9, "line 4: time grid is not uniform"),
+            # 4 ulps of the largest |t|, 4 * 1.86e-9 at t = 1e7, above the 1e-9 term
+            (1e7, 1 / 1024, 6e-9, None),
+            (1e7, 1 / 1024, 1.2e-8, "line 4: time grid is not uniform"),
+        ],
+    )
+    def test_grid_tolerance_edges(self, theta, step, jitter, refusal):
+        # literal outcomes just inside and just outside each term of the tolerance
+        times = [theta + k * step for k in range(4)]
+        times[2] += jitter
+        text = "t,y\n" + "".join(f"{t!r},{k + 1}\n" for k, t in enumerate(times))
+        if refusal is None:
+            assert read_path_csv(io.StringIO(text)).values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        else:
+            with pytest.raises(CsvFormatError) as exc:
+                read_path_csv(io.StringIO(text))
+            assert str(exc.value) == refusal
+
     def test_header_written(self):
         buf = io.StringIO()
         write_path_csv(make_path([1.0, 2.0]), buf)
@@ -564,7 +597,12 @@ class TestCsv:
 
 
 def _reference_read(src: io.StringIO) -> SamplePath:
-    """The per-row reader that read_path_csv replaced, kept as its reference."""
+    """The per-row reader that read_path_csv replaced, kept to check the vectorised rewrite.
+
+    Its grid tolerance is the reader's, copied word for word: it checks a
+    refactor of that tolerance and is not an independent oracle for it.
+    test_grid_tolerance_edges pins the tolerance with literal outcomes.
+    """
     lines = src.read().splitlines()
     if not lines:
         raise CsvFormatError("line 1: empty file, expected header 't,y'")
