@@ -225,7 +225,3 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # cmd_<command> is looked up when called; it reports usage errors with its subcommand's usage line
     return globals()[f"cmd_{args.command}"](args, args.parser)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check_count("trials", self.trials, 1)
         check_noise(self.sigma, self.gamma)  # the rules of the ModelSpec each trial builds
+        if not isinstance(self.master_seed, tuple) or not all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in self.master_seed
+        ):
+            raise ValueError(f"master_seed must be a tuple of integers >= 0, got {self.master_seed!r}")
 
     def truth(self) -> float:
         """The coordinate, sigma or gamma, that the estimator targets."""

@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -191,17 +191,16 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
 # row by row (numpy's savetxt is slower still).  The reader converts every
 # field with one numpy call, whose str-to-float conversion follows float()'s
 # rules, checks the rows as whole arrays, and finds the line of an error only
-# once a check has failed.
+# once a check has failed.  Both take a file path; the reader refuses a file
+# with a non-ASCII byte (a UTF-8 digit float() would read), naming its line.
 
 
-def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
+def write_path_csv(path: SamplePath, dest: str | Path) -> None:
+    """Write ``path`` to the file ``dest`` as a "t,y" CSV that read_path_csv reads back bit for bit."""
     rows = map("{:.17g},{:.17g}\n".format, path.times.tolist(), path.values.tolist())
     text = "t,y\n" + "".join(rows)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open(dest, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _data_line(lines: list[str], row: int) -> int:
@@ -209,22 +208,16 @@ def _data_line(lines: list[str], row: int) -> int:
     return [n for n, raw in enumerate(lines, start=1) if raw.strip()][row + 1]
 
 
-def _read_text(src: str | Path | IO[str]) -> str:
-    """The text of ``src``, which must be ASCII; CsvFormatError names the line of a non-ASCII byte or character."""
-    if hasattr(src, "read"):
-        text = src.read()
-        if text.isascii():
-            return text
-        start = next(i for i, ch in enumerate(text) if not ch.isascii())
-        head, bad = text[:start], f"character U+{ord(text[start]):04X}"
-    else:
-        data = Path(src).read_bytes()
-        try:
-            return data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            head, bad = data[: exc.start].decode("ascii"), f"byte 0x{data[exc.start]:02x}"
-    # every character of head is ASCII; one more character closes the line of the bad one
-    raise CsvFormatError(f"line {len((head + 'x').splitlines())}: non-ASCII {bad}")
+def _read_text(src: str | Path) -> str:
+    """The text of the file ``src``, which must be ASCII; CsvFormatError names the line of a non-ASCII byte."""
+    data = Path(src).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("ascii")
+        # every character of head is ASCII; one more character closes the line of the bad byte
+        lineno = len((head + "x").splitlines())
+        raise CsvFormatError(f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
 
 
 def _raise_row_error(lines: list[str]) -> NoReturn:
@@ -252,10 +245,10 @@ def _raise_row_error(lines: list[str]) -> NoReturn:
     raise CsvFormatError(f"line {len(lines)}: need at least 2 data rows")
 
 
-def read_path_csv(src: str | Path | IO[str]) -> SamplePath:
-    """Read a "t,y" CSV written by write_path_csv (or equivalent).
+def read_path_csv(src: str | Path) -> SamplePath:
+    """Read the "t,y" CSV file ``src`` written by write_path_csv (or equivalent).
 
-    Blank lines are skipped; the text must be ASCII.  Each field is read as
+    Blank lines are skipped; the file must be ASCII.  Each field is read as
     float() reads it, so the values are bit for bit those written.  The grid
     must be uniform and the values positive; delta is the span of the time
     column over its m steps.  Raises CsvFormatError naming the first

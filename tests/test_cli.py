@@ -16,7 +16,7 @@ from pathvol.cli import _MODEL_FLAGS, build_parser, main
 from pathvol.estimators import METHODS, EstimateResult
 from pathvol.experiment import TABLE_IDS
 from pathvol.model import ModelSpec, ckls_model, format_model_config, sample_delay_drift
-from pathvol.simulate import read_path_csv
+from pathvol.simulate import DegeneratePathError, read_path_csv
 
 
 def run_cli(*argv):
@@ -169,6 +169,19 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "parameter vector 'a' must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--config", str(tmp_path / "nope.cfg"), "--y0", "1", "--n", "10",
+                    "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert "--config: cannot read file" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p.csv"
+        assert run_cli("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
+                       "--y0", "1", "--n", "10", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
     def test_bad_config_file_is_usage_error(self, tmp_path):
         cfg = write_csv(tmp_path, "model.cfg", "model=banana\n")
@@ -465,6 +478,14 @@ class TestExperiment:
         # refused before the table runs: no report on stdout, no wall time on stderr
         assert stdout == "" and err.startswith("error: ") and "t.csv" in err and "table t1a" not in err
 
+    def test_all_trials_failing_exit_1(self, monkeypatch, capsys):
+        def degenerate(path, **kwargs):
+            raise DegeneratePathError("flat path")
+
+        monkeypatch.setattr("pathvol.estimators.sigma_known_gamma", degenerate)
+        assert run_cli("experiment", "--table", "t1a", "--trials", "3") == 1
+        assert "error: all 3 trials failed" in capsys.readouterr().err
+
     def test_trials_must_be_positive(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--table", "t1b", "--trials", "0")
@@ -504,6 +525,8 @@ def test_python_m_pathvol_runs_the_command_line(tmp_path):
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "pathvol", *argv], env=env, capture_output=True, text=True)
 
+    usage = run("--help")
+    assert usage.returncode == 0 and usage.stdout.startswith("usage: pathvol")
     table = run("experiment", "--table", "t1a", "--trials", "2")
     assert table.returncode == 0 and "table t1a (2 trials per row)" in table.stdout
     missing = run("estimate", "--in", str(tmp_path / "nope.csv"), "--method", "joint")

@@ -92,6 +92,16 @@ class TestRunTrials:
     def test_tuple_master_seed_accepted(self):
         stats = run_experiment(tiny_config(master_seed=(0, 3)))
         assert stats.n_effective == 4
+        assert run_experiment(tiny_config(master_seed=())).n_effective == 4
+
+    @pytest.mark.parametrize(
+        "seed", [5, (-1,), (1.5,), [3], (True,)], ids=["int", "negative", "float", "list", "bool"]
+    )
+    def test_master_seed_must_be_a_tuple_of_integers_at_least_zero(self, seed):
+        # refused when built, not first inside run_trials
+        with pytest.raises(ValueError) as exc:
+            tiny_config(master_seed=seed)
+        assert str(exc.value) == f"master_seed must be a tuple of integers >= 0, got {seed!r}"
 
     def test_all_failures_raise(self, monkeypatch):
         # EstimatorSpec looks its estimator up at call time, so every trial meets the patched one

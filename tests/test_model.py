@@ -296,6 +296,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="term_b"):
             parse_model_config(text)
 
+    def test_non_number_list_reported_in_full(self):
+        spec = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
+        with pytest.raises(ValueError) as exc:
+            parse_model_config(format_model_config(spec) + "term_a=1,x\n")
+        assert str(exc.value) == "config key 'term_a': not a number list: '1,x'"
+
 
 @settings(max_examples=50, deadline=None)
 @given(

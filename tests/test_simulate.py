@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -368,22 +367,44 @@ def test_positivity_fixes_in_both_phases_match_reference_bitwise():
     assert fixed_steps.min() < lag <= fixed_steps.max()
 
 
+@pytest.fixture(scope="session")
+def csv_file(tmp_path_factory):
+    """One CSV file for the session: Hypothesis refuses function-scoped tmp_path under @given."""
+    return tmp_path_factory.mktemp("csv") / "path.csv"
+
+
+@pytest.fixture(scope="session")
+def read_csv(csv_file):
+    """read_path_csv of a text, written to a file as ASCII bytes."""
+    def read(text: str) -> SamplePath:
+        csv_file.write_bytes(text.encode("ascii"))
+        return read_path_csv(csv_file)
+
+    return read
+
+
+@pytest.fixture(scope="session")
+def csv_text(csv_file):
+    """The text that write_path_csv writes for a path."""
+    def text(path: SamplePath) -> str:
+        write_path_csv(path, csv_file)
+        return csv_file.read_bytes().decode("ascii")
+
+    return text
+
+
 class TestCsv:
-    def test_round_trip_is_bit_exact(self):
+    def test_round_trip_is_bit_exact(self, read_csv, csv_text):
         rng = np.random.default_rng(17)
         path = random_positive_path(rng, 200, delta=1 / 52)
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        back = read_path_csv(io.StringIO(buf.getvalue()))
+        back = read_csv(csv_text(path))
         assert np.array_equal(back.values, path.values)
         assert back.delta == pytest.approx(path.delta, rel=1e-12, abs=0)
         assert back.theta == path.theta
 
-    def test_round_trip_extreme_magnitudes(self):
+    def test_round_trip_extreme_magnitudes(self, read_csv, csv_text):
         path = make_path([1e-8, 2.5e-8, 1e8, 3.0], delta=0.5)
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        back = read_path_csv(io.StringIO(buf.getvalue()))
+        back = read_csv(csv_text(path))
         assert np.array_equal(back.values, path.values)
 
     @pytest.mark.parametrize(
@@ -391,43 +412,41 @@ class TestCsv:
         [random_positive_path(np.random.default_rng(23), 3000, delta=1 / 52), make_path([1e-8, 2.5e-8, 1e8, 3.0], delta=0.5)],
         ids=["random", "extreme"],
     )
-    def test_text_is_per_row_formatting_of_numpy_scalars(self, path):
-        buf = io.StringIO()
-        write_path_csv(path, buf)
+    def test_text_is_per_row_formatting_of_numpy_scalars(self, path, csv_text):
         rows = [f"{t:.17g},{y:.17g}" for t, y in zip(path.times, path.values)]
-        assert buf.getvalue() == "\n".join(["t,y", *rows]) + "\n"
+        assert csv_text(path) == "\n".join(["t,y", *rows]) + "\n"
 
-    def test_round_trip_far_from_zero_is_bit_exact(self):
+    def test_round_trip_far_from_zero_is_bit_exact(self, read_csv, csv_text):
         # at |t| ~ 1e7 one ulp of t is 1.9e-9: the written times are off the grid by that much
         values = random_positive_path(np.random.default_rng(29), 500).values
         path = make_path(values, delta=1e-3, theta=1e7)
-        text = _csv_text(path)
-        back = read_path_csv(io.StringIO(text))
+        text = csv_text(path)
+        back = read_csv(text)
         assert np.array_equal(back.values, path.values) and back.theta == path.theta
         # the step is the span over m steps: the two rounded end times put it off by under one ulp of t over m
         assert abs(back.delta - path.delta) <= np.spacing(path.times[-1]) / path.m
-        assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
+        assert _outcome(read_csv, text) == _outcome(_reference_read, text)
 
-    def test_off_grid_row_far_from_zero_is_refused(self):
+    def test_off_grid_row_far_from_zero_is_refused(self, read_csv, csv_text):
         values = random_positive_path(np.random.default_rng(29), 500).values
-        lines = _csv_text(make_path(values, delta=1e-3, theta=1e7)).splitlines()
+        lines = csv_text(make_path(values, delta=1e-3, theta=1e7)).splitlines()
         t, y = lines[100].split(",")
         lines[100] = f"{float(t) + 0.5e-3!r},{y}"  # half a step late
         text = "\n".join(lines) + "\n"
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO(text))
+            read_csv(text)
         assert str(exc.value) == "line 101: time grid is not uniform"
         assert _outcome(_reference_read, text) == ("error", str(exc.value))
 
-    def test_grid_tolerance_grows_with_a_long_step(self):
+    def test_grid_tolerance_grows_with_a_long_step(self, read_csv):
         # at step 1000 a time may sit 1e-9 of the step, 1e-6, off the grid
         def text(jitter):
             return f"t,y\n0,1\n1000,2\n{2000 + jitter!r},3\n3000,4\n"
 
-        back = read_path_csv(io.StringIO(text(5e-7)))
+        back = read_csv(text(5e-7))
         assert (back.theta, back.delta) == (0.0, 1000.0)
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO(text(2e-6)))
+            read_csv(text(2e-6))
         assert str(exc.value) == "line 4: time grid is not uniform"
 
     @pytest.mark.parametrize(
@@ -444,22 +463,20 @@ class TestCsv:
             (1e7, 1 / 1024, 1.2e-8, "line 4: time grid is not uniform"),
         ],
     )
-    def test_grid_tolerance_edges(self, theta, step, jitter, refusal):
+    def test_grid_tolerance_edges(self, theta, step, jitter, refusal, read_csv):
         # literal outcomes just inside and just outside each term of the tolerance
         times = [theta + k * step for k in range(4)]
         times[2] += jitter
         text = "t,y\n" + "".join(f"{t!r},{k + 1}\n" for k, t in enumerate(times))
         if refusal is None:
-            assert read_path_csv(io.StringIO(text)).values.tolist() == [1.0, 2.0, 3.0, 4.0]
+            assert read_csv(text).values.tolist() == [1.0, 2.0, 3.0, 4.0]
         else:
             with pytest.raises(CsvFormatError) as exc:
-                read_path_csv(io.StringIO(text))
+                read_csv(text)
             assert str(exc.value) == refusal
 
-    def test_header_written(self):
-        buf = io.StringIO()
-        write_path_csv(make_path([1.0, 2.0]), buf)
-        assert buf.getvalue().splitlines()[0] == "t,y"
+    def test_header_written(self, csv_text):
+        assert csv_text(make_path([1.0, 2.0])).splitlines()[0] == "t,y"
 
     def test_file_round_trip(self, tmp_path):
         dest = tmp_path / "p.csv"
@@ -483,12 +500,12 @@ class TestCsv:
             ("t,y\n0,1\n0.1,2\n\n0.25,3\n", "line 5"),
         ],
     )
-    def test_malformed_input_names_first_bad_line(self, text, fragment):
+    def test_malformed_input_names_first_bad_line(self, text, fragment, read_csv):
         with pytest.raises(CsvFormatError, match=fragment):
-            read_path_csv(io.StringIO(text))
+            read_csv(text)
 
-    def test_trailing_blank_lines_tolerated(self):
-        back = read_path_csv(io.StringIO("t,y\n0,1\n0.1,2\n\n\n"))
+    def test_trailing_blank_lines_tolerated(self, read_csv):
+        back = read_csv("t,y\n0,1\n0.1,2\n\n\n")
         assert len(back.values) == 2
 
     @pytest.mark.parametrize(
@@ -509,9 +526,9 @@ class TestCsv:
         ids=["empty", "header", "field-count", "non-numeric", "non-finite", "nonpositive",
              "row-count", "not-increasing", "off-grid", "backward-step"],
     )
-    def test_error_messages_in_full(self, text, message):
+    def test_error_messages_in_full(self, text, message, read_csv):
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO(text))
+            read_csv(text)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
@@ -526,41 +543,37 @@ class TestCsv:
         ids=["non-numeric-before-count", "nonpositive-before-non-numeric", "nan-before-count",
              "row-before-grid"],
     )
-    def test_first_bad_line_across_error_kinds(self, text, message):
+    def test_first_bad_line_across_error_kinds(self, text, message, read_csv):
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO(text))
+            read_csv(text)
         assert str(exc.value) == message
 
-    def test_misaligned_fields_name_the_long_row(self):
+    def test_misaligned_fields_name_the_long_row(self, read_csv):
         # three fields then one: the field total matches two rows, the rows do not
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO("t,y\n0,1,5\n0.1\n0.2,3\n"))
+            read_csv("t,y\n0,1,5\n0.1\n0.2,3\n")
         assert str(exc.value) == "line 2: expected two comma-separated fields, got '0,1,5'"
 
-    def test_crlf_line_endings_accepted(self, tmp_path):
-        text = "t,y\r\n0,1\r\n0.5,2\r\n\r\n1,3\r\n"
-        dest = tmp_path / "crlf.csv"
-        dest.write_bytes(text.encode("ascii"))
-        for src in (io.StringIO(text), dest):
-            back = read_path_csv(src)
-            assert back.values.tolist() == [1.0, 2.0, 3.0]
-            assert (back.theta, back.delta) == (0.0, 0.5)
+    def test_crlf_line_endings_accepted(self, read_csv):
+        back = read_csv("t,y\r\n0,1\r\n0.5,2\r\n\r\n1,3\r\n")
+        assert back.values.tolist() == [1.0, 2.0, 3.0]
+        assert (back.theta, back.delta) == (0.0, 0.5)
 
-    def test_whitespace_only_interior_line_skipped(self):
-        back = read_path_csv(io.StringIO("t,y\n0,1\n \t \n0.5,2\n"))
+    def test_whitespace_only_interior_line_skipped(self, read_csv):
+        back = read_csv("t,y\n0,1\n \t \n0.5,2\n")
         assert back.values.tolist() == [1.0, 2.0]
         with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO("t,y\n0,1\n \t \n0.5,2\n0.75,3\n"))
+            read_csv("t,y\n0,1\n \t \n0.5,2\n0.75,3\n")
         assert str(exc.value) == "line 5: time grid is not uniform"
 
-    def test_fields_parse_as_float_parses_them(self):
-        back = read_path_csv(io.StringIO("t,y\n 0 , 1_0 \n\t0.5,2\t\n1,1e1\n"))
+    def test_fields_parse_as_float_parses_them(self, read_csv):
+        back = read_csv("t,y\n 0 , 1_0 \n\t0.5,2\t\n1,1e1\n")
         assert back.values.tolist() == [10.0, 2.0, 10.0]
         assert (back.theta, back.delta) == (0.0, 0.5)
 
-    def test_row_is_stripped_before_its_fields_are_parsed(self):
+    def test_row_is_stripped_before_its_fields_are_parsed(self, read_csv):
         # str.strip() drops the unit separator 0x1f, which float() refuses
-        back = read_path_csv(io.StringIO("t,y\n0,1\x1f\n\x1f0.5,2\n"))
+        back = read_csv("t,y\n0,1\x1f\n\x1f0.5,2\n")
         assert back.values.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize(
@@ -570,8 +583,11 @@ class TestCsv:
             (b"t,y\n0,1\n0.5,2\xc3\xa9\n", "line 3: non-ASCII byte 0xc3"),
             (b"t,y\r\n0,1\r\n\r\n0.5,\xff2\r\n", "line 4: non-ASCII byte 0xff"),
             (b"t,y\r0,1\r\xa00.5,2\r", "line 3: non-ASCII byte 0xa0"),
+            # an Arabic-Indic digit, which float() reads as 3
+            ("t,y\n0,\u0663\n0.5,2\n".encode(), "line 2: non-ASCII byte 0xd9"),
+            ("t,y\n0,1\n0.5,2\n1,3\u2028\n".encode(), "line 4: non-ASCII byte 0xe2"),
         ],
-        ids=["bom", "utf8-letter", "crlf", "cr"],
+        ids=["bom", "utf8-letter", "crlf", "cr", "digit", "line-separator"],
     )
     def test_non_ascii_byte_names_its_line(self, tmp_path, data, message):
         dest = tmp_path / "bad.csv"
@@ -580,30 +596,15 @@ class TestCsv:
             read_path_csv(dest)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("t,y\n0,\u0663\n0.5,2\n", "line 2: non-ASCII character U+0663"),  # an Arabic-Indic digit float() reads as 3
-            ("\ufefft,y\n0,1\n0.5,2\n", "line 1: non-ASCII character U+FEFF"),
-            ("t,y\r\n0,1\r\n\r\n0.5,\xff2\r\n", "line 4: non-ASCII character U+00FF"),
-            ("t,y\n0,1\n0.5,2\n1,3\u2028\n", "line 4: non-ASCII character U+2028"),
-        ],
-        ids=["digit", "bom", "crlf", "line-separator"],
-    )
-    def test_non_ascii_character_of_a_stream_names_its_line(self, text, message):
-        with pytest.raises(CsvFormatError) as exc:
-            read_path_csv(io.StringIO(text))
-        assert str(exc.value) == message
 
-
-def _reference_read(src: io.StringIO) -> SamplePath:
+def _reference_read(text: str) -> SamplePath:
     """The per-row reader that read_path_csv replaced, kept to check the vectorised rewrite.
 
     Its grid tolerance is the reader's, copied word for word: it checks a
     refactor of that tolerance and is not an independent oracle for it.
     test_grid_tolerance_edges pins the tolerance with literal outcomes.
     """
-    lines = src.read().splitlines()
+    lines = text.splitlines()
     if not lines:
         raise CsvFormatError("line 1: empty file, expected header 't,y'")
     header = lines[0].strip()
@@ -643,18 +644,12 @@ def _reference_read(src: io.StringIO) -> SamplePath:
 
 
 def _outcome(reader, text: str):
-    """("path", theta, delta, value bytes) or ("error", message): equal outcomes are bit for bit equal."""
+    """("path", theta, delta, value bytes) or ("error", message) of reader(text); equal outcomes are bitwise equal."""
     try:
-        path = reader(io.StringIO(text))
+        path = reader(text)
     except CsvFormatError as exc:
         return ("error", str(exc))
     return ("path", np.float64(path.theta).tobytes(), np.float64(path.delta).tobytes(), path.values.tobytes())
-
-
-def _csv_text(path: SamplePath) -> str:
-    buf = io.StringIO()
-    write_path_csv(path, buf)
-    return buf.getvalue()
 
 
 _positive_paths = st.builds(
@@ -685,9 +680,9 @@ _ROW_MUTATIONS = (
 
 @settings(max_examples=150, deadline=None)
 @given(_positive_paths)
-def test_reader_matches_reference_on_written_paths(path):
-    text = _csv_text(path)
-    outcome = _outcome(read_path_csv, text)
+def test_reader_matches_reference_on_written_paths(read_csv, csv_text, path):
+    text = csv_text(path)
+    outcome = _outcome(read_csv, text)
     assert outcome == _outcome(_reference_read, text)
     assert outcome[0] == "path" and outcome[3] == path.values.tobytes()  # every written path reads back
     step = np.frombuffer(outcome[2])[0]
@@ -699,19 +694,19 @@ def test_reader_matches_reference_on_written_paths(path):
     _positive_paths,
     st.lists(st.tuples(st.integers(0, 40), st.integers(0, len(_ROW_MUTATIONS) - 1)), min_size=1, max_size=3),
 )
-def test_reader_matches_reference_on_mutated_rows(path, mutations):
-    lines = _csv_text(path).splitlines()
+def test_reader_matches_reference_on_mutated_rows(read_csv, csv_text, path, mutations):
+    lines = csv_text(path).splitlines()
     for row, kind in mutations:
         lineno = 1 + row % (len(lines) - 1)
         t, y = (lines[lineno].split(",") + ["", ""])[:2]
         lines[lineno] = _ROW_MUTATIONS[kind](t, y)
     text = "\n".join(lines) + "\n"
-    assert _outcome(read_path_csv, text) == _outcome(_reference_read, text)
+    assert _outcome(read_csv, text) == _outcome(_reference_read, text)
 
 
-def test_reader_matches_reference_on_a_simulated_path():
+def test_reader_matches_reference_on_a_simulated_path(read_csv, csv_text):
     path = euler_maruyama(ckls_model(1.0, 1.0, 0.3, 0.6), SimConfig(n_steps=10_000, y0=1.0), np.random.default_rng(3))
-    text = _csv_text(path)
-    back = read_path_csv(io.StringIO(text))
-    assert np.array_equal(back.values, _reference_read(io.StringIO(text)).values)
+    text = csv_text(path)
+    back = read_csv(text)
+    assert np.array_equal(back.values, _reference_read(text).values)
     assert np.array_equal(back.values, path.values)
