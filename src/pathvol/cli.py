@@ -55,12 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", choices=_MODEL_CHOICES)
     sim.add_argument("--a", type=float, help="mean-reversion speed (cir/ckls)")
     sim.add_argument("--b", type=float, help="mean-reversion level (cir/ckls)")
-    sim.add_argument("--sigma", type=float, help="diffusion scale, > 0")
+    sim.add_argument("--sigma", type=float, help="diffusion scale, >= 0 (0: a noiseless path)")
     sim.add_argument("--gamma", type=float, help="diffusion power in [0, 1]")
     sim.add_argument("--n", type=int, required=True, help="number of grid steps on [0, 1]")
     sim.add_argument("--y0", type=float, help="starting value, > 0 (default: drawn uniformly from [0.1, 10])")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--stop-ratio", type=float, default=0.001)
     sim.add_argument("--out", type=Path, required=True, help="output CSV file (header t,y)")
     sim.set_defaults(parser=sim)
 
@@ -120,7 +119,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         # y0 = None (no --y0) draws it from rng
-        cfg = SimConfig(n_steps=args.n, y0=args.y0, stop_ratio=args.stop_ratio)
+        cfg = SimConfig(n_steps=args.n, y0=args.y0)
         model = _build_model(args, parser, rng)
     except ValueError as exc:
         parser.error(str(exc))

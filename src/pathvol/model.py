@@ -180,14 +180,14 @@ def _fmt(x: float) -> str:
 
 
 def format_drift(drift: DriftKind) -> str:
-    """A drift's key=value lines, every float in full: a and b, or n_terms, delay and term_*.
+    """A drift's key=value lines, every float in full: a and b, or delay and term_*.
 
     No model key: whether an affine drift is cir or ckls depends on gamma.
     """
     if isinstance(drift, AffineDrift):
         lines = [f"a={_fmt(drift.a)}", f"b={_fmt(drift.b)}"]
     else:
-        lines = [f"n_terms={drift.n_terms}", f"delay={_fmt(drift.delay)}"]
+        lines = [f"delay={_fmt(drift.delay)}"]
         lines += [f"term_{name}=" + ",".join(map(_fmt, getattr(drift, name))) for name in _VECTOR_FIELDS]
     return "\n".join(lines) + "\n"
 
@@ -238,9 +238,9 @@ def parse_model_config(text: str) -> ModelSpec:
 
     Blank lines and lines starting with '#' are ignored.  Affine models use
     keys model=cir|ckls, a, b, sigma, gamma; randomized delay models use
-    model=random-delay, n_terms, delay, sigma, gamma and comma-separated
-    vectors term_a, term_b, term_nu, term_c, term_d, term_e, term_a_hat,
-    term_b_hat, term_nu_hat.
+    model=random-delay, delay, sigma, gamma and comma-separated vectors
+    term_a, term_b, term_nu, term_c, term_d, term_e, term_a_hat, term_b_hat,
+    term_nu_hat of one length, the term count.  Other keys (an old n_terms) are ignored.
     """
     pairs = _parse_kv(text)
     kind = _require(pairs, "model")
@@ -250,20 +250,13 @@ def parse_model_config(text: str) -> ModelSpec:
         drift = AffineDrift(_float_of(pairs, "a"), _float_of(pairs, "b"))
         return ModelSpec(drift=drift, sigma=sigma, gamma=gamma)
     if kind == "random-delay":
-        raw = _require(pairs, "n_terms")
-        if not raw.isdecimal() or int(raw) < 1:
-            raise ValueError(f"config key 'n_terms' must be a whole number >= 1, got {raw!r}")
-        n = int(raw)
         vectors = {}
         for name in _VECTOR_FIELDS:
             raw = _require(pairs, f"term_{name}")
             try:
-                values = tuple(float(v) for v in raw.split(","))
+                vectors[name] = tuple(float(v) for v in raw.split(","))
             except ValueError:
                 raise ValueError(f"config key 'term_{name}': not a number list: {raw!r}") from None
-            if len(values) != n:
-                raise ValueError(f"config key 'term_{name}': expected {n} values, got {len(values)}")
-            vectors[name] = values
         drift = DelayDriftSpec(delay=_float_of(pairs, "delay"), **vectors)
         return ModelSpec(drift=drift, sigma=sigma, gamma=_float_of(pairs, "gamma"))
     raise ValueError(f"unknown model kind {kind!r} (expected cir, ckls or random-delay)")

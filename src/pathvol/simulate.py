@@ -11,8 +11,8 @@ the caller passes is the path's only source of randomness: it draws the
 starting value y0 when the config leaves it unset, then the xi.  Two guards
 keep the path usable by the estimators: any nonpositive produced value is
 replaced by the previous value (counted in ``positivity_fixes``), and the
-simulation stops early the first time the retained value falls to
-``stop_ratio`` times the starting value.  The history before the start is held
+simulation stops early the first time the retained value falls to the fixed
+share ``_STOP_RATIO`` = 1e-3 of y0.  The history before the start is held
 at the starting value: step k reads y(t_{k-l}) from one iterator that yields
 y0 l times and then the growing path.  The steps run on Python floats in a
 loop compiled once per drift shape (affine, or n delay terms) with
@@ -46,6 +46,9 @@ __all__ = [
     "CsvFormatError",
 ]
 
+# a path stops once its value falls to this share of its starting value
+_STOP_RATIO = 0.001
+
 
 def _check_count(name: str, value: int, low: int) -> None:
     """Raise ValueError unless ``value`` is an integer (a bool is not) of at least ``low``."""
@@ -68,7 +71,6 @@ class SamplePath:
     theta: float
     delta: float
     values: np.ndarray
-    stopped_early: bool = False
     positivity_fixes: int = 0
 
     def __post_init__(self) -> None:
@@ -90,13 +92,18 @@ class SamplePath:
         return len(self.values) - 1
 
     @property
+    def stopped_early(self) -> bool:
+        """The last value is at most _STOP_RATIO times the first: exactly the paths euler_maruyama stopped."""
+        return float(self.values[-1]) <= _STOP_RATIO * float(self.values[0])
+
+    @property
     def times(self) -> np.ndarray:
         return self.theta + np.arange(len(self.values)) * self.delta
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, starting value and stopping parameters for one simulation.
+    """Grid and starting value for one simulation.
 
     The path runs on [0, 1] in n_steps steps of delta = 1 / n_steps;
     a drift delay becomes the lag of floor(delay / delta) whole steps.
@@ -109,7 +116,6 @@ class SimConfig:
     n_steps: int
     y0: float | None = None
     y0_range: tuple[float, float] = (0.1, 10.0)
-    stop_ratio: float = 0.001
 
     def __post_init__(self) -> None:
         _check_count("n_steps", self.n_steps, 2)
@@ -117,8 +123,6 @@ class SimConfig:
             raise ValueError("y0 must be > 0 (or None to sample it)")
         if len(self.y0_range) != 2 or not (0 < self.y0_range[0] < self.y0_range[1] < math.inf):
             raise ValueError("y0_range must satisfy 0 < low < high")
-        if not (0.0 < self.stop_ratio < 1.0):
-            raise ValueError("stop_ratio must lie in (0, 1)")
 
     @property
     def delta(self) -> float:
@@ -167,7 +171,7 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
     """
     y0 = float(cfg.y0 if cfg.y0 is not None else rng.uniform(*cfg.y0_range))
     delta = cfg.delta
-    threshold = cfg.stop_ratio * y0
+    threshold = _STOP_RATIO * y0
     noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats
     values = [y0]
     # the delayed state of step k: y0 while k < lag, then values[k - lag]
@@ -180,7 +184,6 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
         theta=0.0,
         delta=delta,
         values=np.fromiter(values, float, len(values)),
-        stopped_early=values[-1] <= threshold,
         positivity_fixes=fixes,
     )
 

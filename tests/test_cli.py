@@ -151,14 +151,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "missing config key 'sigma'" in err and "--sigma" in err and "--config" in err
 
-    @pytest.mark.parametrize("n_terms", ["inf", "nan", "1.7"])
-    def test_bad_term_count_is_usage_error_naming_it(self, tmp_path, capsys, n_terms):
+    def test_term_vector_of_another_length_is_usage_error_naming_it(self, tmp_path, capsys):
         spec = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
-        cfg = write_csv(tmp_path, "model.cfg", format_model_config(spec) + f"n_terms={n_terms}\n")
+        n = spec.drift.n_terms
+        text = format_model_config(spec) + "term_b=" + ",".join(["0.5"] * (n + 1)) + "\n"
+        cfg, out = write_csv(tmp_path, "model.cfg", text), tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
-            run_cli("simulate", "--config", str(cfg), "--y0", "1", "--n", "10", "--out", str(tmp_path / "x.csv"))
+            run_cli("simulate", "--config", str(cfg), "--y0", "1", "--n", "10", "--out", str(out))
         assert exc.value.code == 2
-        assert "'n_terms'" in capsys.readouterr().err
+        assert f"parameter vector 'b' has length {n + 1}, expected {n}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_term_is_usage_error_naming_it(self, tmp_path, capsys):
         spec = ModelSpec(drift=sample_delay_drift(np.random.default_rng(0)), sigma=0.3, gamma=0.6)
@@ -209,6 +211,8 @@ class TestSimulate:
              "--y0", "nan", "--n", "10", "--out", "x.csv"),
             ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
              "--n", "10", "--delay-rule", "scaled", "--out", "x.csv"),  # a removed flag
+            ("simulate", "--model", "cir", "--a", "1", "--b", "1", "--sigma", "0.3",
+             "--n", "10", "--stop-ratio", "0.5", "--out", "x.csv"),  # a removed flag: the stop rule is fixed
         ],
     )
     def test_usage_errors_exit_2(self, argv):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import drift_value, make_path, random_positive_path
 from pathvol.model import DelayDriftSpec, ModelSpec, ckls_model, cir_model, sample_delay_drift
 from pathvol.simulate import (
+    _STOP_RATIO,
     CsvFormatError,
     DegeneratePathError,
     SamplePath,
@@ -73,6 +74,18 @@ class TestSamplePath:
             SamplePath(theta=theta, delta=0.1, values=[1.0, 2.0])
         assert type(exc.value) is ValueError and str(exc.value) == "theta must be finite"
 
+    @pytest.mark.parametrize("last, stopped", [(0.001, True), (0.0009, True), (0.0011, False), (2.0, False)])
+    def test_stopped_early_is_read_from_the_values(self, last, stopped):
+        # a path built by hand reports the stop rule as a simulated one does: last <= 1e-3 * first
+        assert SamplePath(0.0, 1.0, [1.0, 0.5, last]).stopped_early is stopped
+        assert SamplePath(0.0, 1.0, [1.0, last]).stopped_early is stopped
+        assert SamplePath(0.0, 1.0, [1000.0, 1000.0 * last]).stopped_early is stopped
+
+    def test_stopped_early_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(SamplePath)] == ["theta", "delta", "values", "positivity_fixes"]
+        with pytest.raises(TypeError):
+            SamplePath(0.0, 1.0, [1.0, 2.0], stopped_early=True)
+
     def test_values_become_a_float_array(self):
         path = SamplePath(theta=0.0, delta=0.5, values=[1, 2, 3])
         assert path.values.dtype == np.float64 and path.values.tolist() == [1.0, 2.0, 3.0]
@@ -92,8 +105,7 @@ class TestSimConfig:
             dict(n_steps=10, y0_range=(0.0, 1.0)),
             dict(n_steps=10, y0_range=(2.0, 1.0)),
             dict(n_steps=10, y0_range=(1.0, float("inf"))),
-            dict(n_steps=10, stop_ratio=0.0),
-            dict(n_steps=10, stop_ratio=1.0),
+            dict(n_steps=10, y0_range=(1.0, 1.0)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -172,17 +184,17 @@ class TestRecursion:
             assert 0.2 <= path.values[0] <= 0.3
 
     def test_noise_drawn_upfront_so_stopping_does_not_shift_it(self):
-        # same generator state -> identical prefix whether or not the run
-        # stops early (the stop threshold is the only difference)
+        # a path that stops early still takes all n_steps normals from the
+        # generator, so what the caller draws next does not depend on the stop
         model = ModelSpec(drift=DelayDriftSpec(
-            a=(5.0,), b=(0.0,), nu=(0.5,), c=(0.0,), d=(0.0,), e=(0.0,),
+            a=(10.0,), b=(0.0,), nu=(0.5,), c=(0.0,), d=(0.0,), e=(0.0,),
             a_hat=(0.0,), b_hat=(0.0,), nu_hat=(0.0,)), sigma=0.05, gamma=0.5)
-        stopping = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0, stop_ratio=0.2), np.random.default_rng(5))
-        full = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-9), np.random.default_rng(5))
-        assert stopping.stopped_early and not full.stopped_early
-        k = len(stopping.values)
-        assert k < len(full.values)
-        assert np.array_equal(stopping.values, full.values[:k])
+        rng = np.random.default_rng(5)
+        stopping = euler_maruyama(model, SimConfig(n_steps=400, y0=1.0), rng)
+        assert stopping.stopped_early and stopping.m < 400
+        fresh = np.random.default_rng(5)
+        fresh.standard_normal(400)
+        assert rng.standard_normal() == fresh.standard_normal()
 
     def test_stop_rule_fires_at_threshold(self):
         # noiseless decay: y_{k+1} = 0.9 * y_k hits 0.001*y0 near step 66
@@ -194,6 +206,16 @@ class TestRecursion:
         assert path.values[-1] <= 0.001 * 1.0
         assert path.values[-2] > 0.001 * 1.0
         assert path.m == len(path.values) - 1 < 100
+
+    def test_step_landing_exactly_on_the_threshold_stops(self):
+        # a = n_steps, b = 1: the first step lands on b = 1.0 = 0.001 * 1000 with no rounding
+        path = euler_maruyama(ckls_model(4.0, 1.0, 0.0, 0.5), SimConfig(n_steps=4, y0=1000.0), np.random.default_rng(0))
+        assert path.values.tolist() == [1000.0, 1.0] and path.stopped_early
+
+    def test_step_landing_exactly_on_zero_is_fixed(self):
+        # a = n_steps, b = 0: every step proposes exactly 0.0, which is not a positive value
+        path = euler_maruyama(ckls_model(4.0, 0.0, 0.0, 0.5), SimConfig(n_steps=4, y0=1.0), np.random.default_rng(0))
+        assert path.values.tolist() == [1.0] * 5 and path.positivity_fixes == 4
 
     def test_positivity_fix_replaces_bad_step_and_counts(self):
         # enormous noise forces nonpositive proposals; the path must stay
@@ -273,7 +295,7 @@ def reference_euler(model, cfg, rng):
             nxt = prev
             fixes += 1
         values.append(nxt)
-        if nxt <= cfg.stop_ratio * y0:
+        if nxt <= _STOP_RATIO * y0:
             stopped = True
             break
     return np.array(values), stopped, fixes
@@ -358,7 +380,7 @@ def test_early_stop_in_each_phase_matches_reference_bitwise(lag):
 
 
 def test_positivity_fixes_in_both_phases_match_reference_bitwise():
-    cfg = SimConfig(n_steps=400, y0=1.0, stop_ratio=1e-6)
+    cfg = SimConfig(n_steps=400, y0=1.0)
     lag = 200
     drift = DelayDriftSpec(*np.random.default_rng(0).uniform(0.0, 1.0, size=(9, 4)), delay=_delay_for_lag(cfg, lag))
     path = _assert_matches_reference(ModelSpec(drift=drift, sigma=20.0, gamma=0.5), cfg, 0)
@@ -461,6 +483,8 @@ class TestCsv:
             # 4 ulps of the largest |t|, 4 * 1.86e-9 at t = 1e7, above the 1e-9 term
             (1e7, 1 / 1024, 6e-9, None),
             (1e7, 1 / 1024, 1.2e-8, "line 4: time grid is not uniform"),
+            # exactly 4 ulps, 2**-27 at t = 2**23: a step off by the tolerance itself is on the grid
+            (2.0**23, 1 / 1024, 2.0**-27, None),
         ],
     )
     def test_grid_tolerance_edges(self, theta, step, jitter, refusal, read_csv):
@@ -522,9 +546,11 @@ class TestCsv:
             ("t,y\n0,1\n0.1,2\n0.15,3\n", "line 4: time grid is not uniform"),
             # a backward step within the tolerance of a tiny first step
             ("t,y\n0,1\n1e-12,2\n-1e-10,3\n", "line 4: time grid is not uniform"),
+            # a repeated time, also within that tolerance
+            ("t,y\n0,1\n1e-12,2\n1e-12,3\n", "line 4: time grid is not uniform"),
         ],
         ids=["empty", "header", "field-count", "non-numeric", "non-finite", "nonpositive",
-             "row-count", "not-increasing", "off-grid", "backward-step"],
+             "row-count", "not-increasing", "off-grid", "backward-step", "repeated-time"],
     )
     def test_error_messages_in_full(self, text, message, read_csv):
         with pytest.raises(CsvFormatError) as exc:
