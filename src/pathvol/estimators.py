@@ -267,15 +267,18 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _sigma_hat(total: float, weight: float, shift: float = 0.0) -> float:
-    """sqrt(total / (weight * exp(shift))), refusing a non-finite sum or weight, a zero weight and a non-finite result.
+    """sqrt(total / (weight * exp(shift))), refusing a non-finite sum or weight and a non-finite result.
+
+    No caller passes a zero weight: joint_estimate's is delta > 0, and
+    sigma_known_gamma's is a nonzero sum or, shifted, at least delta * exp(0).
 
     The shift leaves the root as the factor exp(-shift / 2), so a shift of 0
     gives sqrt(total / weight) bit for bit.
     """
     if not math.isfinite(total):
         raise DegeneratePathError("increment sum is not finite")
-    if not 0.0 < weight < math.inf:
-        raise DegeneratePathError("weight sum is zero" if weight == 0.0 else "weight sum is not finite")
+    if weight == math.inf:
+        raise DegeneratePathError("weight sum is not finite")
     try:
         sigma_hat = math.sqrt(total / weight) * math.exp(-0.5 * shift)
     except OverflowError:  # exp(-shift / 2) alone is above the largest double

@@ -1,15 +1,15 @@
 """Monte-Carlo error experiments and the benchmark comparison tables.
 
 Each experiment repeats: draw a fresh delay drift (cosine amplitudes at
-the tables' 10 % strength, see the calibration notes below) under fixed
-sigma and gamma, draw a starting value, simulate one path, run one
-estimator, and record the estimation error against the true sigma or
-gamma.  Per-trial generators are derived from master_seed + (trial,), so
-results are reproducible and independent of execution order.  Trials
-where the estimator raises DegeneratePathError are excluded from the
-error aggregates and counted.  ``rmse_se`` gives the Monte-Carlo standard
-error of an rmse in closed form, by the delta method:
-sd(e**2) / (2 * rmse * sqrt(n)), with no resampling.
+the tables' 10 % strength, see the calibration notes below) under the
+tables' sigma of 0.3 and the experiment's gamma, draw a starting value,
+simulate one path, run one estimator, and record the estimation error
+against the true sigma or gamma.  Per-trial generators are derived from
+master_seed + (trial,), so results are reproducible and independent of
+execution order.  Trials where the estimator raises DegeneratePathError
+are excluded from the error aggregates and counted.  ``rmse_se`` gives
+the Monte-Carlo standard error of an rmse in closed form, by the delta
+method: sd(e**2) / (2 * rmse * sqrt(n)), with no resampling.
 
 ``reproduce_table`` reruns the four published benchmark tables (t1a, t1b,
 t2, t3) and reports the measured rmse / mae / bias next to the reference
@@ -57,26 +57,21 @@ class AllTrialsFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte-Carlo error experiment; errors are measured against its own sigma or gamma."""
+    """One Monte-Carlo error experiment at the tables' sigma of 0.3; errors are against that sigma or gamma."""
 
     trials: int
     sim: SimConfig
-    sigma: float
     gamma: float
     estimator: EstimatorSpec
     master_seed: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
         _check_count("trials", self.trials, 1)
-        check_noise(self.sigma, self.gamma)  # the rules of the ModelSpec each trial builds
+        check_noise(_BENCH_SIGMA, self.gamma)  # the rules of the ModelSpec each trial builds
         if not isinstance(self.master_seed, tuple) or not all(
             isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in self.master_seed
         ):
             raise ValueError(f"master_seed must be a tuple of integers >= 0, got {self.master_seed!r}")
-
-    def truth(self) -> float:
-        """The coordinate, sigma or gamma, that the estimator targets."""
-        return getattr(self, self.estimator.target)
 
 
 @dataclass(frozen=True)
@@ -103,12 +98,12 @@ def _aggregate(errors: np.ndarray, failures: int) -> TrialStats:
 
 def run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
     """Per-trial estimation errors (failures excluded) and the failure count."""
-    truth = cfg.truth()
+    truth = _BENCH_SIGMA if cfg.estimator.target == "sigma" else cfg.gamma
     errors: list[float] = []
     failures = 0
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed + (trial,)))
-        model = ModelSpec(sample_delay_drift(rng, _BENCH_OSC_SCALE), cfg.sigma, cfg.gamma)
+        model = ModelSpec(sample_delay_drift(rng, _BENCH_OSC_SCALE), _BENCH_SIGMA, cfg.gamma)
         path = euler_maruyama(model, cfg.sim, rng)
         try:
             value = cfg.estimator.estimate(path)
@@ -177,7 +172,8 @@ def rmse_se(errors) -> float:
 #
 # Ordinary SimConfig / sample_delay_drift / estimator defaults keep their
 # documented values; only the reproduce_table configurations use these
-# calibrated settings, and run_trials draws every drift at _BENCH_OSC_SCALE.
+# calibrated settings, and run_trials simulates every trial at _BENCH_SIGMA
+# and draws every drift at _BENCH_OSC_SCALE.
 _BENCH_SIGMA = 0.3
 _BENCH_OSC_SCALE = 0.1
 _LOW_Y0 = (0.1, 1.0)
@@ -314,8 +310,7 @@ def reproduce_table(
         if n_steps_filter is not None and sim.n_steps not in n_steps_filter:
             continue
         cfg = ExperimentConfig(
-            trials=trials, sim=sim, sigma=_BENCH_SIGMA, gamma=gamma, estimator=estimator,
-            master_seed=(master_seed, index),
+            trials=trials, sim=sim, gamma=gamma, estimator=estimator, master_seed=(master_seed, index)
         )
         rows.append(TableRow(label, run_experiment(cfg), *ref))
     if not rows:

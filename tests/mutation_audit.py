@@ -148,7 +148,7 @@ def _run_suite(workdir: Path, module: str, timeout: float) -> tuple[str, str]:
     failed = [line for line in out.splitlines() if line.startswith(("FAILED", "ERROR"))]
     if failed:
         return "killed", failed[0]
-    # an internal error (a failing example's report can trip the warning filters) still ends with the tally
+    # an internal error still ends with the tally
     return "killed", out.strip().splitlines()[-1] if out.strip() else f"pytest exit {proc.returncode}"
 
 

@@ -515,11 +515,14 @@ class TestExperiment:
             run_cli("experiment", "--table", "t1a", "t1b", "--out", str(tmp_path / "x.csv"))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("max_steps", ["10", "1", "-5"])
-    def test_max_steps_leaving_no_row_rejected(self, max_steps):
+    @pytest.mark.parametrize("max_steps", ["10", "2", "1", "-5"])
+    def test_max_steps_leaving_no_row_rejected(self, max_steps, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--max-steps", max_steps, "--trials", "1")
         assert exc.value.code == 2
+        # 2 is the least count a path can have: it is accepted, and then every row is above it
+        message = "--max-steps must be >= 2" if int(max_steps) < 2 else "--max-steps skips every row"
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
 
 def test_python_m_pathvol_runs_the_command_line(tmp_path):

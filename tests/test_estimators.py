@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_path, random_positive_path
@@ -159,8 +159,11 @@ class TestJointEstimate:
         assert result.gamma_hat >= 0.5
 
     def test_constant_path_raises(self):
-        with pytest.raises(DegeneratePathError):
-            joint_estimate(make_path([1.0, 1.0, 1.0]))
+        # refused by _spread by name, ahead of the non-finite curve a constant path would give
+        for search in (joint_estimate, lambda path: gamma_known_sigma(path, sigma=0.3)):
+            with pytest.raises(DegeneratePathError) as exc:
+                search(make_path([1.0, 1.0, 1.0]))
+            assert str(exc.value) == "constant path: no increments to fit"
 
     def test_curve_length_matches_grid(self):
         result = joint_estimate(simulated_path(n=300, seed=9), grid_n=12)
@@ -359,15 +362,39 @@ def test_power_sums_scale_exactly_and_cannot_overflow():
 @pytest.mark.parametrize("grid_n", [4, 9, 300])
 def test_power_sums_match_max_shifted_sums_across_the_float_range(grid_n):
     # log y spans about 1 400 e-folds: the split shifts could exceed a sum's largest term by
-    # about 700 at grid_n = 4, into the subnormal range, unless the split is narrowed
-    log_y = np.log([1e308, 1e-300, 1e-316, 3.0, 1e200])
+    # about 700 at grid_n = 4, into the subnormal range, unless the split is narrowed; the
+    # second path spans about 1 000, where grid_n = 9 narrows the split to width 2, not 1
     scales = 2.0 * (reference_grid(grid_n, (0.0, 1.0)) - np.array([[0.9], [1.0]]))
+    for values in ([1e308, 1e-300, 1e-316, 3.0, 1e200], [1e200, 1e-234, 3.0, 1e-100, 1e100]):
+        log_y = np.log(values)
+        sums, shifts = _power_sums(log_y, scales)
+        for row_sums, row_shifts, row_scales in zip(sums, shifts, scales):
+            for total, shift, s in zip(row_sums, row_shifts, row_scales):
+                top = max(s * log_y.min(), s * log_y.max())
+                expected = float(np.sum(np.exp(s * log_y - top)))
+                assert total * math.exp(shift - top) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40),
+    st.integers(2, 300),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+)
+def test_ratio_search_power_ratio_is_nondecreasing(log_y, grid_n, search_range, probes):
+    # R(g) = sum y**(2(g - h1)) / sum y**(2(g - h2)) is a weighted mean of y**(2(h2 - h1)) under
+    # weights y**(2(g - h2)), which shift towards the larger y as g grows: for h1 < h2 it never falls
+    lo, hi = search_range
+    h1, h2 = probes
+    assume(lo < hi and h1 < h2)
+    log_y = np.array(log_y)
+    scales = 2.0 * (reference_grid(grid_n, (lo, hi)) - np.array([[h1], [h2]]))
     sums, shifts = _power_sums(log_y, scales)
-    for row_sums, row_shifts, row_scales in zip(sums, shifts, scales):
-        for total, shift, s in zip(row_sums, row_shifts, row_scales):
-            top = max(s * log_y.min(), s * log_y.max())
-            expected = float(np.sum(np.exp(s * log_y - top)))
-            assert total * math.exp(shift - top) == pytest.approx(expected, rel=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = sums[0] / sums[1] * np.exp(shifts[0] - shifts[1])
+    assume(np.all(np.isfinite(ratio) & (ratio > 0.0)))
+    assert np.all(ratio[1:] >= ratio[:-1] * (1.0 - 1e-12))
 
 
 def test_known_sigma_level_term_matches_python_floats_bitwise():
@@ -447,12 +474,19 @@ def test_underflowing_mean_raises_without_numpy_warnings(search):
 
 
 def test_underflowing_weight_gives_finite_answer():
-    # y**2 = 1e-600 underflows to 0; the weight summed over its largest term does not
-    path = make_path([1.0, 1e-300])
-    total = float(compute_aux(path, 0.0).v.sum())
-    sigma_sq = Decimal(total) / (Decimal(path.delta) * Decimal(float(path.values[1])) ** 2)
-    sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
-    assert sigma_hat == pytest.approx(float(sigma_sq.sqrt()), rel=1e-12)
+    # y**2 = 1e-600 underflows to 0; the weight summed over its largest term does not, and
+    # with several terms delta scales their shifted sum
+    for path in (make_path([1.0, 1e-300]), make_path([1.0, 1e-300, 2e-300], delta=0.25)):
+        total = float(compute_aux(path, 0.0).v.sum())
+        weight = Decimal(path.delta) * sum(Decimal(float(y)) ** 2 for y in path.values[1:])
+        sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
+        assert sigma_hat == pytest.approx(float((Decimal(total) / weight).sqrt()), rel=1e-12, abs=0)
+
+
+def test_infinite_shifted_weight_raises_named_error():
+    # delta * (1 + 1) overflows even after the shift: no scale can be taken from it
+    with pytest.raises(DegeneratePathError, match="weight sum is not finite"):
+        sigma_known_gamma(make_path([1.0, 2.0, 3.0], delta=1e308), gamma=0.5)
 
 
 def test_weight_shift_beyond_double_range_raises_named_error():
@@ -567,13 +601,14 @@ class TestCirMoments:
         assert a_hat == pytest.approx(a, abs=1e-6)
         assert b_hat == pytest.approx(b, abs=1e-6)
 
-    @pytest.mark.parametrize("a,b", [(0.5, 3.0), (1.0, 1.0), (4.0, 0.2), (0.2, 0.7)])
+    @pytest.mark.parametrize("a,b", [(0.5, 3.0), (1.0, 1.0), (4.0, 0.2), (0.2, 0.7), (1.5, 0.8)])
     def test_round_trip_other_parameters(self, a, b):
-        mean = cir_mean(a, b, 1.0, 1.0)
-        var = cir_variance(a, b, 0.3, 1.0, 1.0)
-        a_hat, b_hat = cir_backout(mean, var, 0.3, 1.0, 1.0)
-        assert a_hat == pytest.approx(a, rel=1e-6)
-        assert b_hat == pytest.approx(b, rel=1e-6)
+        for y0 in (1.0, 0.4, 2.5):
+            mean = cir_mean(a, b, y0, 1.0)
+            var = cir_variance(a, b, 0.3, y0, 1.0)
+            a_hat, b_hat = cir_backout(mean, var, 0.3, y0, 1.0)
+            assert a_hat == pytest.approx(a, rel=1e-6)
+            assert b_hat == pytest.approx(b, rel=1e-6)
 
     def test_no_solution_reports_residual_curve(self):
         with pytest.raises(NoSolutionError) as err:
@@ -595,10 +630,11 @@ class TestCirMoments:
             cir_backout(1.0, 0.01, 0.3, 1.0, horizon)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            cir_backout(1.0, -0.1, 0.3, 1.0, 1.0)
-        # a non-finite input is refused up front, not by a NoSolutionError over a nan residual curve
         base = dict(mean_t=1.0, var_t=0.01, sigma=0.3, y0=1.0, horizon=1.0)
+        for name, value in (("var_t", -0.1), ("var_t", 0.0), ("sigma", 0.0), ("y0", 0.0), ("horizon", 0.0)):
+            with pytest.raises(ValueError, match="sigma, y0, horizon and var_t must all be > 0"):
+                cir_backout(**{**base, name: value})
+        # a non-finite input is refused up front, not by a NoSolutionError over a nan residual curve
         for name in ("mean_t", "var_t", "sigma", "y0"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="mean_t, var_t, sigma and y0 must be finite"):

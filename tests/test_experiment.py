@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ def tiny_config(**overrides):
     defaults = dict(
         trials=4,
         sim=SimConfig(n_steps=30),
-        sigma=0.3,
         gamma=0.6,
         estimator=EstimatorSpec(method=METHOD_JOINT_VARIANCE, target="sigma"),
         master_seed=(123,),
@@ -115,18 +115,22 @@ class TestRunTrials:
         with pytest.raises(AllTrialsFailedError):
             run_experiment(cfg)
 
+    def test_config_has_no_sigma(self):
+        # every trial runs at the tables' sigma: there is no field to set it
+        assert [f.name for f in fields(ExperimentConfig)] == ["trials", "sim", "gamma", "estimator", "master_seed"]
+        with pytest.raises(TypeError):
+            tiny_config(sigma=0.3)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(sigma=-1.0, gamma=3.0), "sigma must be finite and >= 0"),
-            (dict(sigma=math.inf), "sigma must be finite and >= 0"),
             (dict(gamma=3.0), "gamma must lie in [0, 1]"),
             (dict(gamma=math.nan), "gamma must lie in [0, 1]"),
         ],
-        ids=["negative-sigma", "inf-sigma", "gamma-above-1", "nan-gamma"],
+        ids=["gamma-above-1", "nan-gamma"],
     )
     def test_randomized_drift_refusals_in_full(self, kwargs, message):
-        # sigma and gamma by ModelSpec's rules, so no trial fails on the model it builds around its drift
+        # gamma by ModelSpec's rules, so no trial fails on the model it builds around its drift
         with pytest.raises(ValueError) as exc:
             tiny_config(**kwargs)
         assert str(exc.value) == message
@@ -188,6 +192,8 @@ class TestRmseSe:
     def test_frozen_oracle(self):
         # sd(e**2) / (2 * rmse * sqrt(5)) in 40-digit decimal arithmetic
         assert rmse_se([0.1, -0.2, 0.05, 0.3, -0.15]) == pytest.approx(0.04293891009329417, rel=1e-14, abs=0)
+        # the fewest errors it takes: sd(e**2) = 0.03 / sqrt(2), rmse = sqrt(0.025)
+        assert rmse_se([0.1, -0.2]) == pytest.approx(0.047434164902525694, rel=1e-14, abs=0)
 
     def test_agrees_with_a_bootstrap(self):
         errors = np.random.default_rng(2024).normal(0.01, 0.03, 300)
