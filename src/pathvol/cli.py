@@ -40,7 +40,7 @@ _METHOD_ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRAT
 # every parameter a registered estimator takes; each is the dest of an estimate flag
 _ESTIMATOR_PARAMS = {name for m in METHODS.values() for name in (*m.required, *m.defaults)}
 # the grid searches, the methods with an objective curve for --curve
-_SEARCH_METHODS = tuple(name for name, m in METHODS.items() if "grid_n" in m.defaults)
+_SEARCH_METHODS = tuple(name for name, m in METHODS.items() if "search_range" in m.defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--h", type=float, help="increment exponent; defaults to --gamma")
     est.add_argument("--h1", type=float, help="first exponent (gamma-ratio, default 0)")
     est.add_argument("--h2", type=float, help="second exponent (gamma-ratio, default 1)")
-    est.add_argument("--grid-n", type=int, help="search grid size (default 300 ratio, 30 others)")
     est.add_argument("--sigma", type=float, help="known sigma (gamma-known-sigma)")
     est.add_argument(
         "--search-range",

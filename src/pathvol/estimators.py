@@ -26,21 +26,23 @@ kernel that computes the same values):
   at h = gamma, so the integrated-sigma-sq method returns that estimator's
   result under its own name.
 
-A sigma estimate that a path cannot give as a finite number (an
-increment sum or quotient that overflows) raises DegeneratePathError, as
-does a grid search whose objective is not finite, and gamma_known_sigma
-when delta * sigma**2 is 0 or inf.  A weight sum of sigma_known_gamma that
-overflows or underflows to zero is taken over its largest term instead, so
-such a path still gets a finite estimate where the result itself is one.
+An increment sum that overflows raises DegeneratePathError, as do a sigma
+quotient that overflows, a grid search whose objective is not finite, and
+gamma_known_sigma when delta * sigma**2 is 0 or inf.  A weight sum of
+sigma_known_gamma that overflows or underflows to zero is taken over its
+largest term instead, so such a path still gets a finite estimate where the
+result itself is one.
 
 ``METHODS`` maps each method name to its estimator.  An ``EstimatorSpec``
 checks the parameters of one method once and then runs it on any number of
 paths; it is the one way in by method name, and the experiments and the
 command line both call the estimators through it.
 
-Grid searches scan h in {1/grid_n, 2/grid_n, ..., 1} by default; ties
+Grid searches scan h in {1/n, 2/n, ..., 1}, with n fixed per search: 300
+candidates for gamma_ratio_estimate and 30 for joint_estimate and
+gamma_known_sigma, the grids of every table and of the command line.  Ties
 resolve to the smallest candidate.  A ``search_range`` (lo, hi) narrows the
-scan to {lo + (hi-lo)*k/grid_n}, e.g. (0.5, 1.0) restricts the power index
+scan to {lo + (hi-lo)*k/n}, e.g. (0.5, 1.0) restricts the power index
 to the positivity-preserving half of the unit interval, the range on which
 square-root (0.5) through linear (1.0) diffusion scalings live.
 joint_estimate and gamma_known_sigma evaluate their candidates together in
@@ -63,7 +65,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .simulate import DegeneratePathError, SamplePath, _check_count
+from .simulate import DegeneratePathError, SamplePath
 
 __all__ = [
     "EstimateResult",
@@ -96,6 +98,9 @@ _BLOCK = 1 << 14
 # e-folds by which the split shifts of _power_sums may exceed a sum's own largest term:
 # far from the subnormal range (about 708), so each sum keeps full precision
 _SHIFT_GAP = 300.0
+# candidates scanned by the ratio search and by the two spread searches
+_RATIO_GRID_N = 300
+_SPREAD_GRID_N = 30
 
 
 class NoSolutionError(RuntimeError):
@@ -157,7 +162,6 @@ def _check(
     h1: float | None = None,
     h2: float | None = None,
     sigma: float | None = None,
-    grid_n: int | None = None,
     search_range: tuple[float, float] | None = None,
 ) -> None:
     """Raise ValueError for a parameter value that no estimator accepts; None is not checked."""
@@ -166,8 +170,6 @@ def _check(
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be > 0")
-    if grid_n is not None:
-        _check_count("grid_n", grid_n, 2)
     if search_range is not None and (len(search_range) != 2 or not 0.0 <= search_range[0] < search_range[1] <= 1.0):
         raise ValueError("search_range must satisfy 0 <= lo < hi <= 1")
     if h1 is not None and h1 == h2:
@@ -202,10 +204,12 @@ def _increment_blocks(path: SamplePath, exponents: list[float]) -> Iterator[tupl
 
 
 def _increment_sums(path: SamplePath, exponents: list[float]) -> np.ndarray:
-    """sum_k v[h, k] for each exponent h; callers ignore over/invalid warnings and refuse a non-finite sum."""
+    """sum_k v[h, k] for each exponent h, refusing a sum that is not finite; callers ignore over/invalid warnings."""
     sums = np.empty(len(exponents))
     for rows, v in _increment_blocks(path, exponents):
         np.add.reduce(v, axis=1, out=sums[rows])
+    if not all(map(math.isfinite, sums.tolist())):  # for one or two sums, several times cheaper than np.isfinite
+        raise DegeneratePathError("increment sum is not finite")
     return sums
 
 
@@ -267,16 +271,16 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _sigma_hat(total: float, weight: float, shift: float = 0.0) -> float:
-    """sqrt(total / (weight * exp(shift))), refusing a non-finite sum or weight and a non-finite result.
+    """sqrt(total / (weight * exp(shift))), refusing an infinite weight and a non-finite result.
 
+    Every caller's total is finite: sigma_known_gamma's comes from
+    _increment_sums, and joint_estimate's is a mean of v at a finite spread.
     No caller passes a zero weight: joint_estimate's is delta > 0, and
     sigma_known_gamma's is a nonzero sum or, shifted, at least delta * exp(0).
 
     The shift leaves the root as the factor exp(-shift / 2), so a shift of 0
     gives sqrt(total / weight) bit for bit.
     """
-    if not math.isfinite(total):
-        raise DegeneratePathError("increment sum is not finite")
     if weight == math.inf:
         raise DegeneratePathError("weight sum is not finite")
     try:
@@ -340,21 +344,17 @@ def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) ->
 
 
 def gamma_ratio_estimate(
-    path: SamplePath,
-    h1: float = 0.0,
-    h2: float = 1.0,
-    grid_n: int = 300,
-    search_range: tuple[float, float] = (0.0, 1.0),
+    path: SamplePath, h1: float = 0.0, h2: float = 1.0, search_range: tuple[float, float] = (0.0, 1.0)
 ) -> EstimateResult:
     """Estimate gamma by matching power-sum and increment-sum ratios.
 
-    Scans candidates g in {1/grid_n, ..., 1} (or the ``search_range``
+    Scans candidates g in {1/300, ..., 1} (or the ``search_range``
     restriction) and minimizes
     | sum y**(2*(g-h1)) / sum y**(2*(g-h2)) - sum v[h1] / sum v[h2] |.
     Requires h1 != h2.  Does not produce a sigma estimate.
     """
-    _check(h1=h1, h2=h2, grid_n=grid_n, search_range=search_range)
-    grid = _grid(grid_n, search_range)
+    _check(h1=h1, h2=h2, search_range=search_range)
+    grid = _grid(_RATIO_GRID_N, search_range)
     scales = 2.0 * (grid - np.array([[h1], [h2]]))
     with np.errstate(over="ignore", invalid="ignore"):  # _search_result refuses a non-finite curve
         s1, s2 = _increment_sums(path, [h1, h2]).tolist()
@@ -366,9 +366,7 @@ def gamma_ratio_estimate(
     return _search_result(METHOD_GAMMA_RATIO, grid, objective)
 
 
-def joint_estimate(
-    path: SamplePath, grid_n: int = 30, search_range: tuple[float, float] = (0.0, 1.0)
-) -> EstimateResult:
+def joint_estimate(path: SamplePath, search_range: tuple[float, float] = (0.0, 1.0)) -> EstimateResult:
     """Estimate gamma and sigma together, knowing neither.
 
     At the true power the per-step terms v[h, k] / delta all hover around
@@ -380,17 +378,14 @@ def joint_estimate(
     increments rather than toward the flattest h.  sigma then follows as
     sqrt(mean(v[gamma]) / delta).
     """
-    _check(grid_n=grid_n, search_range=search_range)
-    grid = _grid(grid_n, search_range)
+    _check(search_range=search_range)
+    grid = _grid(_SPREAD_GRID_N, search_range)
     v_bars, objective = _spread(path, grid)
     return _search_result(METHOD_JOINT_VARIANCE, grid, objective, v_bars, path.delta)
 
 
 def gamma_known_sigma(
-    path: SamplePath,
-    sigma: float,
-    grid_n: int = 30,
-    search_range: tuple[float, float] = (0.0, 1.0),
+    path: SamplePath, sigma: float, search_range: tuple[float, float] = (0.0, 1.0)
 ) -> EstimateResult:
     """Estimate gamma assuming the scale sigma is known.
 
@@ -406,8 +401,8 @@ def gamma_known_sigma(
     level term, which keeps the search identified on one-sided paths where
     the dispersion term alone goes flat.
     """
-    _check(sigma=sigma, grid_n=grid_n, search_range=search_range)
-    grid = _grid(grid_n, search_range)
+    _check(sigma=sigma, search_range=search_range)
+    grid = _grid(_SPREAD_GRID_N, search_range)
     v_bars, spreads = _spread(path, grid)
     level_target = path.delta * sigma * sigma
     if not 0.0 < level_target < math.inf:
@@ -430,10 +425,7 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
     """
     _check(gamma=gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_increment_sums(path, [gamma])[0])
-    if not math.isfinite(total):
-        raise DegeneratePathError("increment sum is not finite")
-    return total
+        return float(_increment_sums(path, [gamma])[0])
 
 
 def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
@@ -591,7 +583,9 @@ def cir_backout(mean_t: float, var_t: float, sigma: float, y0: float, horizon: f
         if i + 1 < len(curve) and r0 * curve[i + 1][1] < 0.0:  # bisect down to adjacent doubles
             a_hi = curve[i + 1][0]
             while a_lo < (a_mid := 0.5 * (a_lo + a_hi)) < a_hi:
-                if (residual(a_mid) < 0.0) == (r0 < 0.0):
+                if (r_mid := residual(a_mid)) == 0.0:  # an exact root, as on a scan point
+                    return a_mid, b_from_mean(a_mid)
+                if (r_mid < 0.0) == (r0 < 0.0):
                     a_lo = a_mid
                 else:
                     a_hi = a_mid

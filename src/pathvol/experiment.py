@@ -164,7 +164,9 @@ def rmse_se(errors) -> float:
 #   0.1736), and the same ~2% junk rate that the paths show at delta=1/10000
 #   projects to the printed 0.0309 only over [1/2, 1] (over (0, 1] it gives
 #   ~0.046).  The searches behind t2/t3 therefore ran on the positivity-
-#   preserving range [1/2, 1], not the nominal (0, 1] grid.
+#   preserving range [1/2, 1], not the nominal (0, 1] grid.  The grid sizes
+#   are constants of the estimators, not of this protocol: 300 ratio and 30
+#   spread candidates, so the t2/t3 argmins sit on steps of 1/600 and 1/60.
 #
 # * Exponent pair.  The ratio-matching rows sharpen as the probe exponents
 #   move off the interval ends; (h1, h2) = (0.25, 0.75) gives the best

@@ -21,6 +21,30 @@ def random_positive_path(rng: np.random.Generator, length: int, delta: float = 0
     return make_path(values, delta=delta)
 
 
+def exact_cir_paths(
+    rng: np.random.Generator, a: float, b: float, sigma: float, y0: np.ndarray, n_steps: int
+) -> np.ndarray:
+    """CIR paths on [0, 1] from the exact transition law, one row per starting value in ``y0``.
+
+    dy = a (b - y) dt + sigma sqrt(y) dW steps over delta = 1 / n_steps as
+    y(t + delta) = c * chi'^2(d, y(t) * exp(-a * delta) / c): a noncentral
+    chi-square with d = 4ab / sigma**2 degrees of freedom, scaled by
+    c = sigma**2 (1 - exp(-a * delta)) / (4a) (Cox, Ingersoll & Ross 1985;
+    Glasserman 2003, sec. 3.4).  Its increments are not conditionally
+    Gaussian, unlike the Euler scheme's, which are the estimators' own working
+    model.  Each step draws all rows at once.
+    """
+    delta = 1.0 / n_steps
+    c = sigma * sigma * -math.expm1(-a * delta) / (4.0 * a)
+    d = 4.0 * a * b / (sigma * sigma)
+    discount = math.exp(-a * delta)
+    paths = np.empty((len(y0), n_steps + 1))
+    paths[:, 0] = y0
+    for k in range(n_steps):
+        paths[:, k + 1] = c * rng.noncentral_chisquare(d, paths[:, k] * discount / c)
+    return paths
+
+
 def drift_value(spec: ModelSpec, x: float, x_lagged: float) -> float:
     """The drift at state x and delayed state x_lagged, as the model docstrings write it.
 

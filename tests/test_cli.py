@@ -347,7 +347,7 @@ class TestEstimate:
             ("estimate", "--in", "x.csv", "--method", "gamma-known-sigma"),  # no sigma
             ("estimate", "--in", "x.csv", "--method", "maximum-likelihood"),
             ("estimate", "--in", "x.csv", "--method", "gamma-ratio", "--h1", "0.5", "--h2", "0.5"),
-            ("estimate", "--in", "x.csv", "--method", "joint", "--grid-n", "1"),
+            ("estimate", "--in", "x.csv", "--method", "joint", "--grid-n", "40"),  # no such flag
             ("estimate", "--in", "x.csv", "--method", "sigma-known-gamma", "--gamma", "2"),
             ("estimate", "--in", "x.csv", "--method", "gamma-known-sigma", "--sigma", "0"),
             ("estimate", "--in", "x.csv", "--method", "joint", "--search-range", "1", "0.5"),
@@ -396,6 +396,16 @@ class TestEstimate:
             code = run_cli("estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "0.5")
         assert code == 1
         assert capsys.readouterr().err == "error: increment sum is not finite\n"
+
+    def test_overflowing_probe_sum_of_the_ratio_search_prints_one_error_line(self, tmp_path, capsys):
+        # (dy / y)**2 overflows at the first step, so the h2 = 1 probe sum is not finite
+        src = write_csv(tmp_path, "steep.csv", "t,y\n0,1e-300\n0.25,1e-140\n0.5,2e-140\n0.75,1.5e-140\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("estimate", "--in", str(src), "--method", "gamma-ratio")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: increment sum is not finite\n"
 
     @pytest.mark.parametrize(
         "method", [("joint-variance",), ("gamma-known-sigma", "--sigma", "0.3")], ids=lambda m: m[0]

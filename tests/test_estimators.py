@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_path, random_positive_path
+from conftest import exact_cir_paths, make_path, random_positive_path
 import pathvol
 from pathvol.estimators import (
     _BLOCK,
@@ -35,6 +35,7 @@ from pathvol.estimators import (
     sigma_known_gamma,
 )
 from pathvol.auxprocess import compute_aux
+from pathvol.experiment import rmse_se
 from pathvol.model import ckls_model, cir_model
 from pathvol.simulate import DegeneratePathError, SimConfig, euler_maruyama
 
@@ -75,6 +76,17 @@ class TestSigmaKnownGamma:
         result = sigma_known_gamma(make_path([2.0, 2.0, 2.0]), gamma=0.5, h=0.5)
         assert result.degenerate and result.sigma_hat == 0.0
 
+    def test_rmse_on_exact_cir_paths_sits_on_the_floor(self):
+        # off the Euler model: 1000 paths from the exact CIR transition law (a = 1, b = 0.5,
+        # sigma = 0.3, y0 uniform on [0.1, 1]) give an rmse at gamma = 0.5 within 3 rmse_se of
+        # the floor sigma / sqrt(2N) at N = 250
+        sigma, n = 0.3, 250
+        rng = np.random.default_rng(20261019)
+        paths = exact_cir_paths(rng, a=1.0, b=0.5, sigma=sigma, y0=rng.uniform(0.1, 1.0, 1000), n_steps=n)
+        errors = [sigma_known_gamma(make_path(v, delta=1.0 / n), gamma=0.5).sigma_hat - sigma for v in paths]
+        rmse = math.sqrt(np.mean(np.square(errors)))
+        assert abs(rmse - sigma / math.sqrt(2 * n)) <= 3.0 * rmse_se(errors)
+
     def test_parameter_validation(self):
         path = make_path([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -83,33 +95,34 @@ class TestSigmaKnownGamma:
             sigma_known_gamma(path, gamma=0.5, h=-0.2)
 
 
-def assert_grid_n_refused(search, method, **params):
-    # fewer than two candidates, a fraction (2.5 would scan 0.4, 0.8 and 1.2), a float and a bool
-    for grid_n in (1, 2.5, 4.0, True):
-        with pytest.raises(ValueError, match="grid_n"):
-            search(make_path([1.0, 2.0, 3.0]), grid_n=grid_n, **params)
-        with pytest.raises(ValueError, match="grid_n"):
-            EstimatorSpec(method, grid_n=grid_n, **params)
+def assert_grid_is_fixed(search, method, grid_n, **params):
+    # each search scans a constant number of candidates: grid_n is no parameter of it or of a spec
+    assert search(simulated_path(n=300, seed=9), **params).grid_n == grid_n
+    with pytest.raises(TypeError, match="grid_n"):
+        search(make_path([1.0, 2.0, 3.0]), grid_n=grid_n, **params)
+    with pytest.raises(TypeError, match="grid_n"):
+        EstimatorSpec(method, grid_n=grid_n, **params)
 
 
 class TestGammaRatio:
     def test_candidates_come_from_the_grid(self):
         path = simulated_path(n=500, seed=1)
-        result = gamma_ratio_estimate(path, grid_n=4)
-        assert result.gamma_hat in (0.25, 0.5, 0.75, 1.0)
-        assert result.grid_n == 4
-        assert len(result.objective_curve) == 4
+        result = gamma_ratio_estimate(path)
+        assert result.gamma_hat in [k / 300 for k in range(1, 301)]
+        assert result.grid_n == 300
+        assert len(result.objective_curve) == 300
 
     def test_search_range_restricts_candidates(self):
         path = simulated_path(n=500, seed=1)
-        result = gamma_ratio_estimate(path, grid_n=4, search_range=(0.5, 1.0))
-        assert result.gamma_hat in (0.625, 0.75, 0.875, 1.0)
+        result = gamma_ratio_estimate(path, search_range=(0.5, 1.0))
+        assert result.gamma_hat in [0.5 + 0.5 * k / 300 for k in range(1, 301)]
+        assert result.gamma_hat > 0.5
 
     def test_default_grid_matches_spec_form(self):
         path = simulated_path(n=300, seed=2)
-        result = gamma_ratio_estimate(path, grid_n=10)
+        result = gamma_ratio_estimate(path)
         grid = [g for g, _ in result.objective_curve]
-        np.testing.assert_allclose(grid, np.arange(1, 11) / 10)
+        np.testing.assert_allclose(grid, np.arange(1, 301) / 300)
 
     def test_recovers_power_on_long_path(self):
         result = gamma_ratio_estimate(simulated_path(seed=4))
@@ -125,8 +138,8 @@ class TestGammaRatio:
             with pytest.raises(ValueError, match="search_range"):
                 gamma_ratio_estimate(path, search_range=rng)
 
-    def test_small_grid_rejected(self):
-        assert_grid_n_refused(gamma_ratio_estimate, "gamma-ratio")
+    def test_grid_size_is_fixed(self):
+        assert_grid_is_fixed(gamma_ratio_estimate, "gamma-ratio", 300)
 
     def test_constant_path_raises(self):
         with pytest.raises(DegeneratePathError):
@@ -134,7 +147,7 @@ class TestGammaRatio:
 
     def test_objective_curve_is_the_scanned_objective(self):
         path = simulated_path(n=400, seed=5)
-        result = gamma_ratio_estimate(path, grid_n=20)
+        result = gamma_ratio_estimate(path)
         objs = [o for _, o in result.objective_curve]
         assert min(objs) == result.objective_min
         grid = [g for g, _ in result.objective_curve]
@@ -155,8 +168,8 @@ class TestJointEstimate:
 
     def test_search_range_restricts_candidates(self):
         path = simulated_path(n=300, seed=8)
-        result = joint_estimate(path, grid_n=6, search_range=(0.5, 1.0))
-        assert result.gamma_hat >= 0.5
+        result = joint_estimate(path, search_range=(0.5, 1.0))
+        assert result.gamma_hat in [0.5 + 0.5 * k / 30 for k in range(1, 31)]
 
     def test_constant_path_raises(self):
         # refused by _spread by name, ahead of the non-finite curve a constant path would give
@@ -166,11 +179,11 @@ class TestJointEstimate:
             assert str(exc.value) == "constant path: no increments to fit"
 
     def test_curve_length_matches_grid(self):
-        result = joint_estimate(simulated_path(n=300, seed=9), grid_n=12)
-        assert len(result.objective_curve) == 12
+        result = joint_estimate(simulated_path(n=300, seed=9))
+        assert len(result.objective_curve) == result.grid_n == 30
 
-    def test_small_grid_rejected(self):
-        assert_grid_n_refused(joint_estimate, "joint-variance")
+    def test_grid_size_is_fixed(self):
+        assert_grid_is_fixed(joint_estimate, "joint-variance", 30)
 
 
 class TestGammaKnownSigma:
@@ -216,18 +229,26 @@ class TestGammaKnownSigma:
         with pytest.raises(ValueError, match="sigma"):
             gamma_known_sigma(make_path([1.0, 2.0]), sigma=0.0)
 
-    def test_small_grid_rejected(self):
-        assert_grid_n_refused(gamma_known_sigma, "gamma-known-sigma", sigma=0.3)
+    def test_grid_size_is_fixed(self):
+        assert_grid_is_fixed(gamma_known_sigma, "gamma-known-sigma", 30, sigma=0.3)
+
+
+# eta**2 overflows on the first path, so some spread objective values are nan; on the second
+# the ratio search's probe sums are finite, but its power ratio y**2 = 4e308 is not
+SPREAD_OVERFLOW = make_path([1e300, 2e300, 1e-300, 5.0])
+RATIO_OVERFLOW = make_path([1e154, 2e154])
 
 
 @pytest.mark.parametrize(
-    "estimate",
-    [joint_estimate, gamma_ratio_estimate, lambda path: gamma_known_sigma(path, sigma=1.0)],
+    "estimate, path",
+    [
+        (joint_estimate, SPREAD_OVERFLOW),
+        (gamma_ratio_estimate, RATIO_OVERFLOW),
+        (lambda path: gamma_known_sigma(path, sigma=1.0), SPREAD_OVERFLOW),
+    ],
     ids=["joint", "gamma_ratio", "gamma_known_sigma"],
 )
-def test_nonfinite_objective_raises_instead_of_argmin(estimate):
-    # eta**2 and y**(2g) overflow on this path, so some objective values are nan
-    path = make_path([1e300, 2e300, 1e-300, 5.0])
+def test_nonfinite_objective_raises_instead_of_argmin(estimate, path):
     with np.errstate(all="ignore"), pytest.raises(DegeneratePathError, match="objective is not finite"):
         estimate(path)
 
@@ -427,14 +448,17 @@ OVERFLOWING_SUM = [make_path([1.0, 1e200, 1.0]), make_path([5e-324, 1.0])]
 SUBNORMAL_DELTA = make_path([1.0, 2.0, 1.0], delta=1e-310)
 
 
-SIGMA_CALLS = {
+# the estimators that take increment sums; the ratio search's h2 = 1 sum (dy / y)**2 overflows on the
+# subnormal level, where s1 / inf = 0 is no ratio to match
+SUM_CALLS = {
     "sigma-known-gamma": lambda path: sigma_known_gamma(path, gamma=0.5),
     "integrated-sigma-sq": lambda path: EstimatorSpec("integrated-sigma-sq", gamma=0.5).result(path),
     "integrated_sigma_sq": lambda path: integrated_sigma_sq(path, gamma=0.5),
+    "gamma-ratio": gamma_ratio_estimate,
 }
 
 
-@pytest.mark.parametrize("call", SIGMA_CALLS.values(), ids=SIGMA_CALLS.keys())
+@pytest.mark.parametrize("call", SUM_CALLS.values(), ids=SUM_CALLS.keys())
 @pytest.mark.parametrize("path", OVERFLOWING_SUM, ids=["huge-step", "subnormal-level"])
 def test_overflowing_increment_sum_raises(call, path):
     with np.errstate(all="ignore"), pytest.raises(DegeneratePathError, match="increment sum is not finite"):
@@ -650,6 +674,30 @@ class TestCirMoments:
         a_hat, _ = cir_backout(mean_t=1.0, var_t=a_star, sigma=1.0, y0=1.0, horizon=1.0)
         assert a_hat == a_star
 
+    @pytest.mark.parametrize("falling", [False, True], ids=["rising", "falling"])
+    def test_root_on_a_midpoint_is_returned_exactly(self, monkeypatch, falling):
+        # a root on the first midpoint after scan point 200 is returned, whichever way the residual
+        # crosses it, not the double below it for one direction and the root for the other
+        scan = np.geomspace(*pathvol.estimators._A_BRACKET, pathvol.estimators._SCAN_POINTS).tolist()
+        a_star = 0.5 * (scan[200] + scan[201])
+        variance = (lambda a: 2.0 * a_star - a) if falling else (lambda a: a)
+        monkeypatch.setattr(pathvol.estimators, "cir_variance", lambda a, b, sigma, y0, horizon: variance(a))
+        a_hat, _ = cir_backout(mean_t=1.0, var_t=a_star, sigma=1.0, y0=1.0, horizon=1.0)
+        assert a_hat == a_star
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_sign_change_without_a_zero_ends_in_adjacent_doubles(self, monkeypatch, ulps):
+        # residual -0.5 below a_star and +0.5 from it on, never 0: the bisection stops at the double
+        # below a_star; for one of two neighbouring a_star the last midpoint rounds down to a_lo
+        scan = np.geomspace(*pathvol.estimators._A_BRACKET, pathvol.estimators._SCAN_POINTS).tolist()
+        a_star = 0.5 * (scan[200] + scan[201])
+        for _ in range(ulps):
+            a_star = math.nextafter(a_star, math.inf)
+        step = lambda a, b, sigma, y0, horizon: 1.0 + math.copysign(0.5, a - a_star)
+        monkeypatch.setattr(pathvol.estimators, "cir_variance", step)
+        a_hat, _ = cir_backout(mean_t=1.0, var_t=1.0, sigma=1.0, y0=1.0, horizon=1.0)
+        assert a_hat == math.nextafter(a_star, 0.0)
+
     def test_importing_the_package_does_not_load_scipy_optimize(self):
         code = "import sys, pathvol; print('scipy' in sys.modules)"
         src = str(Path(pathvol.__file__).parents[1])
@@ -672,21 +720,21 @@ class TestEstimateResult:
         assert row.count(",") == EstimateResult.CSV_HEADER.count(",")
 
     def test_search_arrays_are_read_only(self):
-        result = joint_estimate(simulated_path(n=300, seed=9), grid_n=12)
+        result = joint_estimate(simulated_path(n=300, seed=9))
         for array in (result.grid, result.objective):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 
     def test_equality_leaves_the_arrays_out(self):
         path = simulated_path(n=300, seed=9)
-        result = gamma_ratio_estimate(path, grid_n=20)
-        assert result == gamma_ratio_estimate(path, grid_n=20)
+        result = gamma_ratio_estimate(path)
+        assert result == gamma_ratio_estimate(path)
         assert result == replace(result, objective=result.objective + 1.0)
         assert hash(result) == hash(replace(result, grid=None, objective=None))
 
     def test_properties_read_the_arrays(self):
-        result = gamma_ratio_estimate(simulated_path(n=300, seed=9), grid_n=20)
-        assert result.grid_n == 20 and isinstance(result.grid_n, int)
+        result = gamma_ratio_estimate(simulated_path(n=300, seed=9))
+        assert result.grid_n == 300 and isinstance(result.grid_n, int)
         assert result.objective_min == float(result.objective[np.argmin(result.objective)])
         assert result.objective_curve == tuple(zip(result.grid.tolist(), result.objective.tolist()))
 

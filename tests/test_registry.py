@@ -58,8 +58,9 @@ def test_registry_covers_the_five_methods():
     }
     assert METHODS[METHOD_SIGMA_KNOWN_GAMMA].required == ("gamma",)
     assert METHODS[METHOD_GAMMA_KNOWN_SIGMA].required == ("sigma",)
-    assert METHODS[METHOD_GAMMA_RATIO].defaults["grid_n"] == 300
-    assert METHODS[METHOD_JOINT_VARIANCE].defaults["grid_n"] == 30
+    # the grid sizes are constants of the searches, not parameters
+    assert METHODS[METHOD_GAMMA_RATIO].defaults == {"h1": 0.0, "h2": 1.0, "search_range": (0.0, 1.0)}
+    assert METHODS[METHOD_JOINT_VARIANCE].defaults == {"search_range": (0.0, 1.0)}
 
 
 # (argv flags, EstimatorSpec parameters) for each method name the command line takes
@@ -67,9 +68,9 @@ CLI_CASES = [
     ("sigma-known-gamma", ["--gamma", "0.6"], {"gamma": 0.6}),
     ("sigma-known-gamma", ["--gamma", "0.6", "--h", "0.25"], {"gamma": 0.6, "h": 0.25}),
     ("gamma-ratio", [], {}),
-    ("gamma-ratio", ["--h1", "0.25", "--h2", "0.75", "--grid-n", "40"], {"h1": 0.25, "h2": 0.75, "grid_n": 40}),
+    ("gamma-ratio", ["--h1", "0.25", "--h2", "0.75"], {"h1": 0.25, "h2": 0.75}),
     ("joint-variance", [], {}),
-    ("joint", ["--grid-n", "12"], {"grid_n": 12}),
+    ("joint", [], {}),
     ("gamma-known-sigma", ["--sigma", "0.3"], {"sigma": 0.3}),
     ("integrated-sigma-sq", ["--gamma", "0.6"], {"gamma": 0.6}),
     ("integrated", ["--gamma", "0.6"], {"gamma": 0.6}),
@@ -105,7 +106,7 @@ SPEC_CASES = [
     ),
     (
         EstimatorSpec(method=METHOD_GAMMA_RATIO, h1=0.25, h2=0.75, search_range=NARROW),
-        lambda p: gamma_ratio_estimate(p, h1=0.25, h2=0.75, grid_n=300, search_range=NARROW).gamma_hat,
+        lambda p: gamma_ratio_estimate(p, h1=0.25, h2=0.75, search_range=NARROW).gamma_hat,
     ),
     (
         EstimatorSpec(method=METHOD_GAMMA_RATIO),
@@ -113,15 +114,15 @@ SPEC_CASES = [
     ),
     (
         EstimatorSpec(method=METHOD_JOINT_VARIANCE, search_range=NARROW),
-        lambda p: joint_estimate(p, grid_n=30, search_range=NARROW).gamma_hat,
+        lambda p: joint_estimate(p, search_range=NARROW).gamma_hat,
     ),
     (
-        EstimatorSpec(method=METHOD_JOINT_VARIANCE, grid_n=12, target="sigma", search_range=NARROW),
-        lambda p: joint_estimate(p, grid_n=12, search_range=NARROW).sigma_hat,
+        EstimatorSpec(method=METHOD_JOINT_VARIANCE, target="sigma", search_range=NARROW),
+        lambda p: joint_estimate(p, search_range=NARROW).sigma_hat,
     ),
     (
         EstimatorSpec(method=METHOD_GAMMA_KNOWN_SIGMA, sigma=0.3, search_range=NARROW),
-        lambda p: gamma_known_sigma(p, sigma=0.3, grid_n=30, search_range=NARROW).gamma_hat,
+        lambda p: gamma_known_sigma(p, sigma=0.3, search_range=NARROW).gamma_hat,
     ),
     (EstimatorSpec(method=METHOD_INTEGRATED_SIGMA_SQ, gamma=0.6), _direct_integrated),
 ]
@@ -142,9 +143,9 @@ def test_estimator_is_looked_up_when_called(path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "joint_estimate", spy)
-    EstimatorSpec(METHOD_JOINT_VARIANCE, grid_n=12, sigma=None).result(path)
+    EstimatorSpec(METHOD_JOINT_VARIANCE, search_range=NARROW, sigma=None).result(path)
     EstimatorSpec(method=METHOD_JOINT_VARIANCE).estimate(path)
-    assert calls == [{"grid_n": 12}, {}]
+    assert calls == [{"search_range": NARROW}, {}]
 
 
 def test_estimator_spec_has_one_home():
@@ -155,10 +156,10 @@ def test_estimator_spec_has_one_home():
 
 
 def test_spec_kwargs_are_read_only():
-    spec = EstimatorSpec(METHOD_JOINT_VARIANCE, grid_n=12)
+    spec = EstimatorSpec(METHOD_JOINT_VARIANCE, search_range=NARROW)
     with pytest.raises(TypeError):
-        spec.kwargs["grid_n"] = 1
-    assert spec.kwargs == {"grid_n": 12}
+        spec.kwargs["search_range"] = (0.0, 1.0)
+    assert spec.kwargs == {"search_range": NARROW}
 
 
 def test_list_and_tuple_search_range_build_equal_specs():
@@ -174,17 +175,17 @@ def test_cli_estimate_checks_its_parameters_once(path_csv, monkeypatch, capsys):
     original = estimators._check
 
     def spy(**params):
-        calls.append(params["grid_n"])
+        calls.append(tuple(params["search_range"]))
         return original(**params)
 
     monkeypatch.setattr(estimators, "_check", spy)
     assert main(["estimate", "--in", str(path_csv), "--method", "joint", "--search-range", "0.5", "1"]) == 0
-    assert calls == [30, 30]
+    assert calls == [NARROW, NARROW]
 
 
 class TestCheckParams:
     def test_drops_none_and_parameters_the_method_does_not_take(self):
-        params = {"gamma": 0.5, "h": None, "h1": 0.25, "grid_n": None, "sigma": 0.3}
+        params = {"gamma": 0.5, "h": None, "h1": 0.25, "h2": None, "sigma": 0.3}
         assert EstimatorSpec(METHOD_JOINT_VARIANCE, **params).kwargs == {}
         assert EstimatorSpec(METHOD_SIGMA_KNOWN_GAMMA, **params).kwargs == {"gamma": 0.5}
         assert EstimatorSpec(METHOD_GAMMA_RATIO, **params).kwargs == {"h1": 0.25}
@@ -195,7 +196,7 @@ class TestCheckParams:
             ("maximum-likelihood", {}, "unknown estimator method"),
             (METHOD_INTEGRATED_SIGMA_SQ, {}, "needs its gamma"),
             (METHOD_GAMMA_RATIO, {"h1": 1.0}, "h1 and h2 must differ"),  # h2 defaults to 1
-            (METHOD_JOINT_VARIANCE, {"grid_n": 1}, "grid_n"),
+            (METHOD_GAMMA_KNOWN_SIGMA, {}, "needs its sigma"),
             (METHOD_JOINT_VARIANCE, {"search_range": (0.5, 0.5)}, "search_range"),
             (METHOD_SIGMA_KNOWN_GAMMA, {"gamma": 0.5, "h": 1.5}, "h must lie"),
             # a value no estimator accepts is refused whichever method runs
@@ -210,8 +211,10 @@ class TestCheckParams:
             EstimatorSpec(method, **params)
 
     def test_unknown_parameter_name_is_a_type_error(self):
-        with pytest.raises(TypeError, match="gridn"):
-            EstimatorSpec(METHOD_JOINT_VARIANCE, gridn=10)
+        # grid_n included: every search scans a grid of fixed size
+        for name in ("gridn", "grid_n"):
+            with pytest.raises(TypeError, match=name):
+                EstimatorSpec(METHOD_JOINT_VARIANCE, **{name: 30})
 
 
 # values from None, the unit interval, outside it and nan; a search_range from pairs
@@ -224,7 +227,6 @@ SPEC_PARAMS = st.fixed_dictionaries(
         "h1": st.none() | _UNIT,
         "h2": st.none() | _UNIT,
         "sigma": st.none() | st.floats(1e-3, 1e3) | st.floats(-1.0, 0.0) | st.sampled_from([math.nan, math.inf]),
-        "grid_n": st.none() | st.integers(-1, 40) | st.booleans() | st.floats(-1.0, 40.0),
         "search_range": st.none() | st.tuples(_UNIT, _UNIT) | st.lists(_UNIT, min_size=0, max_size=3),
     }
 )
