@@ -21,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import METHOD_INTEGRATED_SIGMA_SQ, METHOD_JOINT_VARIANCE, METHODS, EstimateResult, EstimatorSpec
+from .estimators import (
+    _PARAMS, METHOD_INTEGRATED_SIGMA_SQ, METHOD_JOINT_VARIANCE, METHODS, EstimateResult, EstimatorSpec
+)
 from .experiment import TABLE_IDS, TABLE_STEPS, reproduce_table
 from .model import MissingKeyError, ModelSpec, format_drift, parse_model_config, sample_delay_drift
 from .simulate import (
@@ -37,8 +39,6 @@ _MODEL_CHOICES = ("cir", "ckls", "random-delay")
 _MODEL_FLAGS = ("model", "a", "b", "sigma", "gamma")
 # short command-line names for two registry methods
 _METHOD_ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA_SQ}
-# every parameter a registered estimator takes; each is the dest of an estimate flag
-_ESTIMATOR_PARAMS = {name for m in METHODS.values() for name in (*m.required, *m.defaults)}
 # the grid searches, the methods with an objective curve for --curve
 _SEARCH_METHODS = tuple(name for name, m in METHODS.items() if "search_range" in m.defaults)
 
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--in", dest="infile", type=Path, required=True, help="input CSV (header t,y)")
     est.add_argument("--method", choices=(*METHODS, *_METHOD_ALIASES), required=True)
     est.add_argument("--gamma", type=float, help="known gamma (sigma-known-gamma, integrated)")
-    est.add_argument("--h", type=float, help="increment exponent; defaults to --gamma")
     est.add_argument("--h1", type=float, help="first exponent (gamma-ratio, default 0)")
     est.add_argument("--h2", type=float, help="second exponent (gamma-ratio, default 1)")
     est.add_argument("--sigma", type=float, help="known sigma (gamma-known-sigma)")
@@ -145,7 +144,7 @@ def _write_curve(result: EstimateResult, dest: Path) -> None:
 def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     method = _METHOD_ALIASES.get(args.method, args.method)
     try:
-        spec = EstimatorSpec(method, **{name: getattr(args, name) for name in _ESTIMATOR_PARAMS})
+        spec = EstimatorSpec(method, **{name: getattr(args, name) for name in _PARAMS})
     except ValueError as exc:
         parser.error(str(exc))
     if args.curve is not None and method not in _SEARCH_METHODS:

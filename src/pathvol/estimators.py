@@ -6,9 +6,9 @@ Writing v[h, k] = log(1 + eta[h, k]**2) for the increment series of
 ``auxprocess.compute_aux`` (the estimators take it from one private block
 kernel that computes the same values):
 
-* sigma_known_gamma: sigma^2 estimated by
-      sum_k v[h, k] / (delta * sum_k y(t_k)**(2*(gamma - h))),
-  valid for any exponent h when gamma is known.
+* sigma_known_gamma: sigma^2 estimated, when gamma is known, by
+      sum_k v[gamma, k] / (delta * m)
+  over the m increments: integrated_sigma_sq over the window delta * m.
 * gamma_ratio_estimate: gamma estimated by matching, on a grid of
   candidates g, the ratio identity
       sum y**(2*(g-h1)) / sum y**(2*(g-h2))  =  sum v[h1] / sum v[h2].
@@ -21,17 +21,14 @@ kernel that computes the same values):
   (the joint_estimate spread plus a term matching mean(v[h])/delta to
   sigma**2).
 * integrated_sigma_sq: sum_k v[gamma, k] estimates the integral of
-  sigma(s)^2 ds over the observation window (time-dependent scale).  Over
-  the window, delta * m for m increments, it is sigma_known_gamma's sigma^2
-  at h = gamma, so the integrated-sigma-sq method returns that estimator's
-  result under its own name.
+  sigma(s)^2 ds over the observation window (time-dependent scale); the
+  integrated-sigma-sq method is sigma_known_gamma under its own name.
 
-An increment sum that overflows raises DegeneratePathError, as do a sigma
-quotient that overflows, a grid search whose objective is not finite, and
-gamma_known_sigma when delta * sigma**2 is 0 or inf.  A weight sum of
-sigma_known_gamma that overflows or underflows to zero is taken over its
-largest term instead, so such a path still gets a finite estimate where the
-result itself is one.
+An increment sum that overflows raises DegeneratePathError, as do one that
+underflows to 0 on a path that is not constant (a constant path's sums are 0
+exactly), a window delta * m or a sigma quotient that overflows, a grid
+search whose objective is not finite, and gamma_known_sigma when
+delta * sigma**2 is 0 or inf.
 
 ``METHODS`` maps each method name to its estimator.  An ``EstimatorSpec``
 checks the parameters of one method once and then runs it on any number of
@@ -204,12 +201,17 @@ def _increment_blocks(path: SamplePath, exponents: list[float]) -> Iterator[tupl
 
 
 def _increment_sums(path: SamplePath, exponents: list[float]) -> np.ndarray:
-    """sum_k v[h, k] for each exponent h, refusing a sum that is not finite; callers ignore over/invalid warnings."""
+    """sum_k v[h, k] for each exponent h, refusing a sum that is not finite; callers ignore over/invalid warnings.
+
+    A sum is 0 on a constant path; on any other path every (dy / y**h)**2 underflowed, so it is refused too.
+    """
     sums = np.empty(len(exponents))
     for rows, v in _increment_blocks(path, exponents):
         np.add.reduce(v, axis=1, out=sums[rows])
-    if not all(map(math.isfinite, sums.tolist())):  # for one or two sums, several times cheaper than np.isfinite
+    if not all(map(math.isfinite, listed := sums.tolist())):  # for one or two sums, cheaper than np.isfinite
         raise DegeneratePathError("increment sum is not finite")
+    if 0.0 in listed and not (path.values == path.values[0]).all():
+        raise DegeneratePathError("increment sum underflows to 0 on a path that is not constant")
     return sums
 
 
@@ -270,23 +272,17 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
     return acc.reshape(probes, -1)[:, :count], shifts.reshape(probes, -1)[:, :count]
 
 
-def _sigma_hat(total: float, weight: float, shift: float = 0.0) -> float:
-    """sqrt(total / (weight * exp(shift))), refusing an infinite weight and a non-finite result.
+def _sigma_hat(total: float, weight: float) -> float:
+    """sqrt(total / weight), refusing an infinite weight and a non-finite result.
 
     Every caller's total is finite: sigma_known_gamma's comes from
     _increment_sums, and joint_estimate's is a mean of v at a finite spread.
     No caller passes a zero weight: joint_estimate's is delta > 0, and
-    sigma_known_gamma's is a nonzero sum or, shifted, at least delta * exp(0).
-
-    The shift leaves the root as the factor exp(-shift / 2), so a shift of 0
-    gives sqrt(total / weight) bit for bit.
+    sigma_known_gamma's is the window delta * m (inf at a large delta).
     """
     if weight == math.inf:
         raise DegeneratePathError("weight sum is not finite")
-    try:
-        sigma_hat = math.sqrt(total / weight) * math.exp(-0.5 * shift)
-    except OverflowError:  # exp(-shift / 2) alone is above the largest double
-        sigma_hat = math.inf
+    sigma_hat = math.sqrt(total / weight)
     if not math.isfinite(sigma_hat):
         raise DegeneratePathError("scale estimate is not finite")
     return sigma_hat
@@ -318,29 +314,18 @@ def _search_result(
     )
 
 
-def sigma_known_gamma(path: SamplePath, gamma: float, h: float | None = None) -> EstimateResult:
+def sigma_known_gamma(path: SamplePath, gamma: float) -> EstimateResult:
     """Estimate sigma assuming the power index gamma is known.
 
-    Any h in [0, 1] is admissible; the default h = gamma makes the weight
-    sum trivial.  A constant path returns sigma_hat = 0 with the degenerate
-    flag set.
+    sigma_hat**2 is integrated_sigma_sq(path, gamma) over the window
+    delta * m of the m increments.  A constant path returns sigma_hat = 0
+    with the degenerate flag set.
     """
-    if h is None:
-        h = gamma
-    _check(gamma=gamma, h=h)
-    scale = 2.0 * (gamma - h)
-    y = path.values[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_increment_sums(path, [h])[0])
-        weight = path.delta * float(np.add.reduce(y**scale))
+    total = integrated_sigma_sq(path, gamma)
     if total == 0.0:
         return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
-    shift = 0.0
-    if weight in (0.0, math.inf):  # the terms under- or overflow: sum exp(scale * log y) over its largest term
-        log_terms = scale * np.log(y)
-        shift = float(log_terms.max())
-        weight = path.delta * float(np.add.reduce(np.exp(log_terms - shift)))
-    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, weight, shift))
+    window = path.delta * (path.values.size - 1)
+    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, window))
 
 
 def gamma_ratio_estimate(
@@ -429,7 +414,7 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
 
 
 def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
-    """sigma from integrated_sigma_sq over the window: sigma_known_gamma at h = gamma, bit for bit."""
+    """sigma from integrated_sigma_sq over the window: sigma_known_gamma's result under this method's name."""
     return replace(sigma_known_gamma(path, gamma), method=METHOD_INTEGRATED_SIGMA_SQ)
 
 
@@ -470,6 +455,8 @@ METHODS = {
     METHOD_GAMMA_KNOWN_SIGMA: _method("gamma_known_sigma", "gamma"),
     METHOD_INTEGRATED_SIGMA_SQ: _method("_integrated_sigma", "sigma"),
 }
+# every parameter some registered method takes; the only names an EstimatorSpec accepts
+_PARAMS = frozenset(name for m in METHODS.values() for name in (*m.required, *m.defaults))
 
 
 @dataclass(frozen=True, init=False)
@@ -483,8 +470,8 @@ class EstimatorSpec:
     ``search_range`` is kept as a tuple.  Raises ValueError for an unknown
     method, a missing required parameter, a given or defaulted value that
     the estimators refuse (a parameter the method does not take included)
-    or a target the method does not produce, and TypeError for an unknown
-    parameter name.  Running the spec on a path skips the checks of the
+    or a target the method does not produce, and TypeError for a name that
+    no registered method takes, even set to None.  Running the spec on a path skips the checks of the
     method name and of the required parameters; the estimator still checks
     its argument values, as on any direct call.  ``target`` is the
     coordinate ``estimate`` returns ("sigma" or "gamma"); by default it
@@ -500,6 +487,8 @@ class EstimatorSpec:
         entry = METHODS.get(method)
         if entry is None:
             raise ValueError(f"unknown estimator method {method!r}; expected one of {tuple(METHODS)}")
+        if unknown := params.keys() - _PARAMS:
+            raise TypeError(f"unknown estimator parameter {min(unknown)!r}; expected one of {sorted(_PARAMS)}")
         given = {name: value for name, value in params.items() if value is not None}
         for name in entry.required:
             if name not in given:

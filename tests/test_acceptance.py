@@ -181,7 +181,7 @@ def test_criterion_8_cir_moment_backout_round_trip():
         path = euler_maruyama(model, cfg, rng)
         assert not path.stopped_early
         terminals[i] = path.values[-1]
-        sigma_hats[i] = sigma_known_gamma(path, gamma=0.5, h=0.5).sigma_hat
+        sigma_hats[i] = sigma_known_gamma(path, gamma=0.5).sigma_hat
     sigma_mc = float(sigma_hats.mean())
     a_mc, b_mc = cir_backout(
         float(terminals.mean()), float(terminals.var(ddof=1)), sigma_mc, y0, horizon
@@ -240,7 +240,7 @@ def test_criterion_9_structural_invariants(fine_grid_run):
 
     # constant paths: flagged by the closed form, rejected by the searches
     flat = make_path([5.0, 5.0, 5.0, 5.0])
-    result = sigma_known_gamma(flat, gamma=0.5, h=0.5)
+    result = sigma_known_gamma(flat, gamma=0.5)
     assert result.degenerate and result.sigma_hat == 0.0
     with pytest.raises(DegeneratePathError):
         joint_estimate(flat)

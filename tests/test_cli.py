@@ -225,8 +225,7 @@ class TestEstimate:
     def test_known_power_scale_from_two_point_path(self, tmp_path, capsys):
         src = write_csv(tmp_path, "two.csv", "t,y\n0,1\n0.01,1.1\n")
         assert run_cli(
-            "estimate", "--in", str(src), "--method", "sigma-known-gamma",
-            "--gamma", "1", "--h", "1",
+            "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1"
         ) == 0
         out_lines = capsys.readouterr().out.strip().splitlines()
         assert out_lines[0] == EstimateResult.CSV_HEADER
@@ -353,6 +352,8 @@ class TestEstimate:
             ("estimate", "--in", "x.csv", "--method", "joint", "--search-range", "1", "0.5"),
             ("estimate", "--in", "x.csv", "--method", "gamma-ratio", "--search-range", "0.5", "1.5"),
             ("estimate", "--in", "x.csv", "--method", "joint", "--search-range", "0.5"),
+            # a removed flag: sigma-known-gamma estimates at h = gamma
+            ("estimate", "--in", "x.csv", "--method", "sigma-known-gamma", "--gamma", "0.5", "--h", "0.5"),
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -361,25 +362,13 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
-    def test_underflowing_weight_sum_gives_finite_estimate(self, tmp_path, capsys):
-        src = write_csv(tmp_path, "tiny.csv", "t,y\n0,1\n0.01,1e-300\n")
-        assert run_cli(
-            "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1", "--h", "0"
-        ) == 0
+    @pytest.mark.parametrize("method", ["sigma-known-gamma", "integrated"])
+    def test_underflowing_increment_sum_exit_1(self, tmp_path, capsys, method):
+        # every dy**2 underflows to 0 at gamma = 0, yet the path varies: no zero-variance warning
+        src = write_csv(tmp_path, "tiny.csv", "t,y\n0,1e-200\n0.01,2e-200\n0.02,1.5e-200\n")
+        assert run_cli("estimate", "--in", str(src), "--method", method, "--gamma", "0") == 1
         out, err = capsys.readouterr()
-        assert err == ""
-        sigma_hat = float(out.splitlines()[1].split(",")[2])
-        assert sigma_hat == pytest.approx(8.325546111576978e300, rel=1e-12)
-
-    def test_infinite_weight_sum_gives_finite_estimate(self, tmp_path, capsys):
-        src = write_csv(tmp_path, "huge.csv", "t,y\n0,1e160\n0.01,1.000000000000001e160\n")
-        assert run_cli(
-            "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1", "--h", "0"
-        ) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        sigma_hat = float(out.splitlines()[1].split(",")[2])
-        assert sigma_hat == pytest.approx(2.583831492018e-158, rel=1e-12, abs=0)
+        assert out == "" and err == "error: increment sum underflows to 0 on a path that is not constant\n"
 
     @pytest.mark.parametrize("sigma", ["1e-100", "1e-200"])
     def test_level_term_out_of_float_range_exit_1(self, tmp_path, capsys, sigma):

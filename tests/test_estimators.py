@@ -7,7 +7,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -47,33 +46,22 @@ def simulated_path(n=20_000, gamma=0.6, sigma=0.3, seed=0, y0=1.0):
 
 class TestSigmaKnownGamma:
     def test_two_point_frozen_oracle(self):
-        # eta = 0.2/sqrt(4) = 0.1; sigma^2 = log(1.01)/(0.01 * 4.2^0)
-        result = sigma_known_gamma(make_path([4.0, 4.2], delta=0.01), gamma=0.5, h=0.5)
+        # eta = 0.2/sqrt(4) = 0.1; sigma^2 = log(1.01)/(0.01 * 1)
+        result = sigma_known_gamma(make_path([4.0, 4.2], delta=0.01), gamma=0.5)
         assert result.sigma_hat == pytest.approx(0.997513451195927, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.6, 1.0])
-    def test_h_defaults_to_gamma(self, gamma):
-        path = simulated_path(n=500, seed=3)
-        assert sigma_known_gamma(path, gamma=gamma) == sigma_known_gamma(path, gamma=gamma, h=gamma)
-
     def test_weight_uses_successor_values(self):
-        # path [1, 4, 9], gamma=1, h=0, delta=1: weights 4^2 + 9^2 = 97,
-        # not 1 + 16 = 17; frozen from a hand computation
-        result = sigma_known_gamma(make_path([1.0, 4.0, 9.0], delta=1.0), gamma=1.0, h=0.0)
-        assert result.sigma_hat**2 == pytest.approx(0.057326614752737405, rel=1e-14, abs=0)
+        # path [1, 4, 9], gamma=1, delta=1: the weight sums y**0 over the successor values
+        # 4 and 9, so it is delta * m = 2, not 3; v = log(1 + 3**2) + log(1 + (5/4)**2)
+        result = sigma_known_gamma(make_path([1.0, 4.0, 9.0], delta=1.0), gamma=1.0)
+        assert result.sigma_hat**2 == pytest.approx(1.6217842187292861, rel=1e-14, abs=0)
 
     def test_recovers_scale_on_long_path(self):
-        result = sigma_known_gamma(simulated_path(), gamma=0.6, h=0.6)
+        result = sigma_known_gamma(simulated_path(), gamma=0.6)
         assert result.sigma_hat == pytest.approx(0.3, abs=0.01)
 
-    def test_h_different_from_gamma_still_consistent(self):
-        path = simulated_path(seed=3)
-        a = sigma_known_gamma(path, gamma=0.6, h=0.0).sigma_hat
-        b = sigma_known_gamma(path, gamma=0.6, h=1.0).sigma_hat
-        assert a == pytest.approx(b, rel=0.02)
-
     def test_constant_path_degenerate_zero(self):
-        result = sigma_known_gamma(make_path([2.0, 2.0, 2.0]), gamma=0.5, h=0.5)
+        result = sigma_known_gamma(make_path([2.0, 2.0, 2.0]), gamma=0.5)
         assert result.degenerate and result.sigma_hat == 0.0
 
     def test_rmse_on_exact_cir_paths_sits_on_the_floor(self):
@@ -89,10 +77,11 @@ class TestSigmaKnownGamma:
 
     def test_parameter_validation(self):
         path = make_path([1.0, 2.0])
-        with pytest.raises(ValueError):
-            sigma_known_gamma(path, gamma=1.2, h=0.5)
-        with pytest.raises(ValueError):
-            sigma_known_gamma(path, gamma=0.5, h=-0.2)
+        for gamma in (1.2, -0.2):
+            with pytest.raises(ValueError, match="gamma must lie"):
+                sigma_known_gamma(path, gamma=gamma)
+        with pytest.raises(TypeError, match="'h'"):  # no free exponent: the estimate is at h = gamma
+            sigma_known_gamma(path, gamma=0.5, h=0.5)
 
 
 def assert_grid_is_fixed(search, method, grid_n, **params):
@@ -465,6 +454,25 @@ def test_overflowing_increment_sum_raises(call, path):
         call(path)
 
 
+# a varying path whose (dy / y**h)**2 underflows to 0 at every step at h = 0: sigma**2 =
+# sum dy**2 / (delta * m) = 6.25e-399 is below the smallest double, and the path is not constant
+UNDERFLOWING_SUM = make_path([1e-200, 2e-200, 1.5e-200], delta=0.01)
+UNDERFLOW_CALLS = {
+    "sigma-known-gamma": lambda path: sigma_known_gamma(path, gamma=0.0),
+    "integrated-sigma-sq": lambda path: EstimatorSpec("integrated-sigma-sq", gamma=0.0).result(path),
+    "integrated_sigma_sq": lambda path: integrated_sigma_sq(path, gamma=0.0),
+    "gamma-ratio": gamma_ratio_estimate,
+}
+
+
+@pytest.mark.parametrize("call", UNDERFLOW_CALLS.values(), ids=UNDERFLOW_CALLS.keys())
+def test_underflowing_increment_sum_on_a_varying_path_raises(call):
+    # not read as a constant path: no degenerate sigma = 0, no "constant path" error
+    with pytest.raises(DegeneratePathError) as exc:
+        call(UNDERFLOWING_SUM)
+    assert str(exc.value) == "increment sum underflows to 0 on a path that is not constant"
+
+
 @pytest.mark.parametrize("method", ["sigma-known-gamma", "integrated-sigma-sq"])
 def test_overflowing_scale_raises(method):
     with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
@@ -497,48 +505,22 @@ def test_underflowing_mean_raises_without_numpy_warnings(search):
             search(SUBNORMAL_MEAN)
 
 
-def test_underflowing_weight_gives_finite_answer():
-    # y**2 = 1e-600 underflows to 0; the weight summed over its largest term does not, and
-    # with several terms delta scales their shifted sum
-    for path in (make_path([1.0, 1e-300]), make_path([1.0, 1e-300, 2e-300], delta=0.25)):
-        total = float(compute_aux(path, 0.0).v.sum())
-        weight = Decimal(path.delta) * sum(Decimal(float(y)) ** 2 for y in path.values[1:])
-        sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
-        assert sigma_hat == pytest.approx(float((Decimal(total) / weight).sqrt()), rel=1e-12, abs=0)
-
-
 def test_infinite_shifted_weight_raises_named_error():
-    # delta * (1 + 1) overflows even after the shift: no scale can be taken from it
+    # the window delta * m = 1e308 * 2 overflows: no scale can be taken from it
     with pytest.raises(DegeneratePathError, match="weight sum is not finite"):
         sigma_known_gamma(make_path([1.0, 2.0, 3.0], delta=1e308), gamma=0.5)
-
-
-def test_weight_shift_beyond_double_range_raises_named_error():
-    # the shifted root's factor exp(-shift / 2) = 1e310 is above the largest double
-    with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
-        sigma_known_gamma(make_path([1.0, 1e-310]), gamma=1.0, h=0.0)
-
-
-def test_infinite_weight_gives_finite_answer():
-    # y**2 = 1e320 overflows to inf; the weight summed over its largest term does not
-    path = make_path([1e160, 1.000000000000001e160])
-    total = float(compute_aux(path, 0.0).v.sum())
-    sigma_sq = Decimal(total) / (Decimal(path.delta) * Decimal(float(path.values[1])) ** 2)
-    sigma_hat = sigma_known_gamma(path, gamma=1.0, h=0.0).sigma_hat
-    assert sigma_hat == pytest.approx(float(sigma_sq.sqrt()), rel=1e-12, abs=0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
     st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
 )
-def test_sigma_known_gamma_without_overflow_is_the_plain_quotient(values, gamma, h):
+def test_sigma_known_gamma_without_overflow_is_the_plain_quotient(values, gamma):
     path = make_path(values)
-    total = float(_increment_sums(path, [h])[0])
-    weight = path.delta * float(np.sum(path.values[1:] ** (2.0 * (gamma - h))))
-    result = sigma_known_gamma(path, gamma=gamma, h=h)
+    total = float(_increment_sums(path, [gamma])[0])
+    weight = path.delta * (len(values) - 1)
+    result = sigma_known_gamma(path, gamma=gamma)
     if total == 0.0:
         assert result.degenerate
     else:
@@ -748,7 +730,7 @@ class TestEstimateResult:
 def test_known_power_scale_estimate_is_finite_and_positive(sigma, gamma, seed):
     model = ckls_model(a=1.0, b=1.0, sigma=sigma, gamma=gamma)
     path = euler_maruyama(model, SimConfig(n_steps=100, y0=1.0), np.random.default_rng(seed))
-    result = sigma_known_gamma(path, gamma=gamma, h=gamma)
+    result = sigma_known_gamma(path, gamma=gamma)
     assert result.sigma_hat is not None
     if not result.degenerate:
         assert result.sigma_hat > 0

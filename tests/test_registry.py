@@ -66,7 +66,7 @@ def test_registry_covers_the_five_methods():
 # (argv flags, EstimatorSpec parameters) for each method name the command line takes
 CLI_CASES = [
     ("sigma-known-gamma", ["--gamma", "0.6"], {"gamma": 0.6}),
-    ("sigma-known-gamma", ["--gamma", "0.6", "--h", "0.25"], {"gamma": 0.6, "h": 0.25}),
+    ("sigma-known-gamma", ["--gamma", "0.25"], {"gamma": 0.25}),
     ("gamma-ratio", [], {}),
     ("gamma-ratio", ["--h1", "0.25", "--h2", "0.75"], {"h1": 0.25, "h2": 0.75}),
     ("joint-variance", [], {}),
@@ -98,11 +98,11 @@ def _direct_integrated(path):
 SPEC_CASES = [
     (
         EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.6),
-        lambda p: sigma_known_gamma(p, gamma=0.6, h=0.6).sigma_hat,
+        lambda p: sigma_known_gamma(p, gamma=0.6).sigma_hat,
     ),
     (
-        EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.6, h=0.0),
-        lambda p: sigma_known_gamma(p, gamma=0.6, h=0.0).sigma_hat,
+        EstimatorSpec(method=METHOD_SIGMA_KNOWN_GAMMA, gamma=0.0),
+        lambda p: sigma_known_gamma(p, gamma=0.0).sigma_hat,
     ),
     (
         EstimatorSpec(method=METHOD_GAMMA_RATIO, h1=0.25, h2=0.75, search_range=NARROW),
@@ -185,7 +185,7 @@ def test_cli_estimate_checks_its_parameters_once(path_csv, monkeypatch, capsys):
 
 class TestCheckParams:
     def test_drops_none_and_parameters_the_method_does_not_take(self):
-        params = {"gamma": 0.5, "h": None, "h1": 0.25, "h2": None, "sigma": 0.3}
+        params = {"gamma": 0.5, "h1": 0.25, "h2": None, "sigma": 0.3}
         assert EstimatorSpec(METHOD_JOINT_VARIANCE, **params).kwargs == {}
         assert EstimatorSpec(METHOD_SIGMA_KNOWN_GAMMA, **params).kwargs == {"gamma": 0.5}
         assert EstimatorSpec(METHOD_GAMMA_RATIO, **params).kwargs == {"h1": 0.25}
@@ -198,7 +198,7 @@ class TestCheckParams:
             (METHOD_GAMMA_RATIO, {"h1": 1.0}, "h1 and h2 must differ"),  # h2 defaults to 1
             (METHOD_GAMMA_KNOWN_SIGMA, {}, "needs its sigma"),
             (METHOD_JOINT_VARIANCE, {"search_range": (0.5, 0.5)}, "search_range"),
-            (METHOD_SIGMA_KNOWN_GAMMA, {"gamma": 0.5, "h": 1.5}, "h must lie"),
+            (METHOD_SIGMA_KNOWN_GAMMA, {"gamma": 1.5}, "gamma must lie"),
             # a value no estimator accepts is refused whichever method runs
             (METHOD_JOINT_VARIANCE, {"sigma": -1.0}, "sigma must be > 0"),
             # a search_range is a pair; accepted, three values failed only in the estimator
@@ -216,6 +216,14 @@ class TestCheckParams:
             with pytest.raises(TypeError, match=name):
                 EstimatorSpec(METHOD_JOINT_VARIANCE, **{name: 30})
 
+    @pytest.mark.parametrize("name", ["grid_n", "h", "foo"])
+    def test_unknown_parameter_name_set_to_none_is_a_type_error(self, name):
+        # refused before None values are dropped; h is no parameter: sigma-known-gamma runs at h = gamma
+        for method in (METHOD_JOINT_VARIANCE, METHOD_SIGMA_KNOWN_GAMMA):
+            for value in (None, 0.5):
+                with pytest.raises(TypeError, match=name):
+                    EstimatorSpec(method, **{"gamma": 0.5, name: value})
+
 
 # values from None, the unit interval, outside it and nan; a search_range from pairs
 # and sequences of other lengths
@@ -223,7 +231,6 @@ _UNIT = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 2.0), st.just(math.nan))
 SPEC_PARAMS = st.fixed_dictionaries(
     {
         "gamma": st.none() | _UNIT,
-        "h": st.none() | _UNIT,
         "h1": st.none() | _UNIT,
         "h2": st.none() | _UNIT,
         "sigma": st.none() | st.floats(1e-3, 1e3) | st.floats(-1.0, 0.0) | st.sampled_from([math.nan, math.inf]),
