@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _check
 from .simulate import SamplePath
 
 __all__ = ["AuxSeries", "compute_aux"]
@@ -45,7 +44,8 @@ class AuxSeries:
 
 def compute_aux(path: SamplePath, h: float) -> AuxSeries:
     """Increment series of a path at exponent h in [0, 1]."""
-    _check(h=h)
+    if not 0.0 <= h <= 1.0:
+        raise ValueError(f"h must lie in [0, 1], got {h}")
     y = path.values
     prev = y[:-1]
     eta = np.diff(y) / prev**h

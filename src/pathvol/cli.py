@@ -24,7 +24,7 @@ import numpy as np
 from .estimators import (
     _PARAMS, METHOD_INTEGRATED_SIGMA_SQ, METHOD_JOINT_VARIANCE, METHODS, EstimateResult, EstimatorSpec
 )
-from .experiment import TABLE_IDS, TABLE_STEPS, reproduce_table
+from .experiment import TABLE_IDS, reproduce_table
 from .model import MissingKeyError, ModelSpec, format_drift, parse_model_config, sample_delay_drift
 from .simulate import (
     CsvFormatError,
@@ -47,10 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathvol",
         description="Simulate power-diffusion paths and estimate (sigma, gamma) from them.",
+        allow_abbrev=False,
     )
+    # a flag is taken only by its full name; each subparser sets this too, as it does not inherit it
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="simulate one path and write it as CSV")
+    sim = sub.add_parser("simulate", help="simulate one path and write it as CSV", allow_abbrev=False)
     sim.add_argument("--config", type=Path, help="key=value model config file (flags override)")
     sim.add_argument("--model", choices=_MODEL_CHOICES)
     sim.add_argument("--a", type=float, help="mean-reversion speed (cir/ckls)")
@@ -63,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True, help="output CSV file (header t,y)")
     sim.set_defaults(parser=sim)
 
-    est = sub.add_parser("estimate", help="run one estimator on a path CSV")
+    est = sub.add_parser("estimate", help="run one estimator on a path CSV", allow_abbrev=False)
     est.add_argument("--in", dest="infile", type=Path, required=True, help="input CSV (header t,y)")
     est.add_argument("--method", choices=(*METHODS, *_METHOD_ALIASES), required=True)
     est.add_argument("--gamma", type=float, help="known gamma (sigma-known-gamma, integrated)")
@@ -80,15 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--curve", type=Path, help="write the objective curve CSV here")
     est.set_defaults(parser=est)
 
-    exp = sub.add_parser("experiment", help="rerun benchmark error tables")
+    exp = sub.add_parser("experiment", help="rerun benchmark error tables", allow_abbrev=False)
     exp.add_argument(
         "--table", nargs="+", choices=TABLE_IDS, default=TABLE_IDS, help="default: all"
     )
     exp.add_argument("--trials", type=int, default=1000, help="trials per table row")
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument(
-        "--max-steps", type=int, help="skip rows with more steps than this (e.g. 250 for a fast pass)"
-    )
     exp.add_argument("--out", type=Path, help="write the comparison CSV here (one table only)")
     exp.set_defaults(parser=exp)
     return parser
@@ -179,19 +178,8 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--trials must be >= 1")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
-    if args.max_steps is not None and args.max_steps < 2:
-        parser.error("--max-steps must be >= 2")
     if args.out is not None and len(args.table) > 1:
         parser.error("--out takes a single --table")
-    runs = []
-    for table_id in args.table:
-        steps = tuple(n for n in TABLE_STEPS[table_id] if args.max_steps is None or n <= args.max_steps)
-        if steps:
-            runs.append((table_id, steps))
-        else:
-            print(f"table {table_id}: skipped (all rows above --max-steps)", file=sys.stderr)
-    if not runs:
-        parser.error("--max-steps skips every row")
     try:
         # opened before any table runs, so an unwritable --out costs no work
         out = contextlib.nullcontext() if args.out is None else args.out.open("w")
@@ -199,12 +187,10 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     with out:
-        for table_id, steps in runs:
+        for table_id in args.table:
             start = time.perf_counter()
             try:
-                report = reproduce_table(
-                    table_id, trials=args.trials, master_seed=args.seed, n_steps_filter=steps
-                )
+                report = reproduce_table(table_id, trials=args.trials, master_seed=args.seed)
                 print(report.format_text() + "\n")
                 print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
                 if args.out is not None:

@@ -155,14 +155,13 @@ class EstimateResult:
 
 def _check(
     gamma: float | None = None,
-    h: float | None = None,
     h1: float | None = None,
     h2: float | None = None,
     sigma: float | None = None,
     search_range: tuple[float, float] | None = None,
 ) -> None:
     """Raise ValueError for a parameter value that no estimator accepts; None is not checked."""
-    for name, value in (("gamma", gamma), ("h", h), ("h1", h1), ("h2", h2)):
+    for name, value in (("gamma", gamma), ("h1", h1), ("h2", h2)):
         if value is not None and not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     if sigma is not None and not (math.isfinite(sigma) and sigma > 0):

@@ -47,7 +47,6 @@ __all__ = [
     "rmse_se",
     "reproduce_table",
     "TABLE_IDS",
-    "TABLE_STEPS",
 ]
 
 
@@ -232,9 +231,6 @@ _TABLES = {
 }
 
 TABLE_IDS = tuple(_TABLES)
-
-# the distinct step counts of each table's rows, in row order
-TABLE_STEPS = {tid: tuple(dict.fromkeys(row[1].n_steps for row in rows)) for tid, rows in _TABLES.items()}
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,16 @@ class TestComputeAux:
         aux = compute_aux(path, 0.0)
         np.testing.assert_array_equal(aux.eta, [1.0, -1.5])
 
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    def test_h_at_interval_ends_accepted(self, h):
+        assert compute_aux(make_path([1.0, 2.0]), h).h == h
+
     def test_h_outside_unit_interval_rejected(self):
         path = make_path([1.0, 2.0])
         for h in (-0.1, 1.5):
             with pytest.raises(ValueError) as exc:
                 compute_aux(path, h)
-            assert str(exc.value) == f"h must lie in [0, 1], got {h}"  # the estimators' message
+            assert str(exc.value) == f"h must lie in [0, 1], got {h}"  # as the estimators word it
 
 
 class TestOracle:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pathvol
-from pathvol import cli
+from pathvol import cli, experiment
 from pathvol.cli import _MODEL_FLAGS, build_parser, main
 from pathvol.estimators import METHODS, EstimateResult
 from pathvol.experiment import TABLE_IDS
@@ -499,29 +499,42 @@ class TestExperiment:
             run_cli("experiment", "--table", "t7")
         assert exc.value.code == 2
 
-    def test_max_steps_skips_tables_above_it(self, capsys):
-        assert run_cli(
-            "experiment", "--table", "t1a", "t1b", "--max-steps", "52", "--trials", "2"
-        ) == 0
+    def test_each_table_runs_whole_with_its_wall_time(self, capsys):
+        assert run_cli("experiment", "--table", "t1a", "t1b", "--trials", "2") == 0
         captured = capsys.readouterr()
-        assert "table t1a" in captured.out
-        assert "t1b" not in captured.out
-        assert "table t1b: skipped" in captured.err
-        assert "table t1a: " in captured.err  # wall time
+        assert "table t1a (2 trials per row)" in captured.out and "table t1b (2 trials per row)" in captured.out
+        assert "table t1a: " in captured.err and "table t1b: " in captured.err
 
     def test_out_with_several_tables_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--table", "t1a", "t1b", "--out", str(tmp_path / "x.csv"))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("max_steps", ["10", "2", "1", "-5"])
-    def test_max_steps_leaving_no_row_rejected(self, max_steps, capsys):
+    def test_no_row_filter_of_its_own(self, capsys):
+        # a table runs whole; --trials and --table are the fast pass
         with pytest.raises(SystemExit) as exc:
-            run_cli("experiment", "--max-steps", max_steps, "--trials", "1")
+            run_cli("experiment", "--max-steps", "250", "--trials", "1")
         assert exc.value.code == 2
-        # 2 is the least count a path can have: it is accepted, and then every row is above it
-        message = "--max-steps must be >= 2" if int(max_steps) < 2 else "--max-steps skips every row"
-        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+        assert "unrecognized arguments: --max-steps" in capsys.readouterr().err
+        assert not hasattr(experiment, "TABLE_STEPS")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("estimate", "--in", "x.csv", "--method", "integrated", "--gam", "0.6"), "--gam"),
+        (("simulate", "--model", "cir", "--sig", "0.3", "--n", "10", "--out", "x.csv"), "--sig"),
+        (("experiment", "--table", "t1a", "--tri", "2"), "--tri"),
+        # a removed flag is refused as unknown, not as a prefix of --h1 and --h2
+        (("estimate", "--in", "x.csv", "--method", "sigma-known-gamma", "--gamma", "0.6", "--h", "0.6"), "--h"),
+    ],
+    ids=("gam", "sig", "tri", "h"),
+)
+def test_flag_prefixes_are_unrecognized(argv, prefix, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix} " in capsys.readouterr().err
 
 
 def test_python_m_pathvol_runs_the_command_line(tmp_path):

@@ -1,6 +1,7 @@
 """The method registry: one dispatcher behind the command line and the experiments."""
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -184,6 +185,10 @@ def test_cli_estimate_checks_its_parameters_once(path_csv, monkeypatch, capsys):
 
 
 class TestCheckParams:
+    def test_check_knows_exactly_the_estimator_parameters(self):
+        # parameter names live in the estimator signatures, _check and the flags alone
+        assert set(inspect.signature(estimators._check).parameters) == estimators._PARAMS
+
     def test_drops_none_and_parameters_the_method_does_not_take(self):
         params = {"gamma": 0.5, "h1": 0.25, "h2": None, "sigma": 0.3}
         assert EstimatorSpec(METHOD_JOINT_VARIANCE, **params).kwargs == {}
