@@ -8,7 +8,8 @@ file; --model random-delay then adds the lines of a drift drawn from the seed.
 Exit codes: 0 success, 1 runtime failure (a simulation that fails, an
 output file that cannot be written, a degenerate input path), 2 usage
 errors (bad flags or flag values, a model or simulation parameter that the
-model or SimConfig refuses, malformed input files).
+model or SimConfig refuses, malformed input files).  main maps every
+runtime failure to one "error:" line and exit 1.
 """
 from __future__ import annotations
 
@@ -120,12 +121,8 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         model = _build_model(args, parser, rng)
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        path = euler_maruyama(model, cfg, rng)
-        write_path_csv(path, args.out)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    path = euler_maruyama(model, cfg, rng)
+    write_path_csv(path, args.out)
     print(
         f"stopped_early={path.stopped_early} m={path.m} positivity_fixes={path.positivity_fixes}",
         file=sys.stderr,
@@ -158,14 +155,9 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         print(f"error: {args.infile}: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        result = spec.result(path)
-        if args.curve is not None:
-            _write_curve(result, args.curve)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    result = spec.result(path)
+    if args.curve is not None:
+        _write_curve(result, args.curve)
     if result.degenerate:
         print("warning: zero-variance path; sigma estimate is 0", file=sys.stderr)
     print(EstimateResult.CSV_HEADER)
@@ -180,24 +172,15 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--seed must be >= 0")
     if args.out is not None and len(args.table) > 1:
         parser.error("--out takes a single --table")
-    try:
-        # opened before any table runs, so an unwritable --out costs no work
-        out = contextlib.nullcontext() if args.out is None else args.out.open("w")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with out:
+    # opened before any table runs, so an unwritable --out costs no work
+    with contextlib.nullcontext() if args.out is None else args.out.open("w") as out:
         for table_id in args.table:
             start = time.perf_counter()
-            try:
-                report = reproduce_table(table_id, trials=args.trials, master_seed=args.seed)
-                print(report.format_text() + "\n")
-                print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-                if args.out is not None:
-                    out.write(report.to_csv())
-            except (ValueError, OSError, RuntimeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            report = reproduce_table(table_id, trials=args.trials, master_seed=args.seed)
+            print(report.format_text() + "\n")
+            print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+            if args.out is not None:
+                out.write(report.to_csv())
     return 0
 
 
@@ -205,6 +188,13 @@ _parser = functools.cache(build_parser)  # main's, built once: parsing leaves it
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    # cmd_<command> is looked up when called; it reports usage errors with its subcommand's usage line
-    return globals()[f"cmd_{args.command}"](args, args.parser)
+    args, unknown = _parser().parse_known_args(argv)
+    # usage errors, an unknown flag too, are reported with the subcommand's usage line (exit 2)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    try:
+        # cmd_<command> is looked up when called
+        return globals()[f"cmd_{args.command}"](args, args.parser)
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

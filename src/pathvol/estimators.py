@@ -272,18 +272,17 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _sigma_hat(total: float, weight: float) -> float:
-    """sqrt(total / weight), refusing an infinite weight and a non-finite result.
+    """sqrt(total / weight), refusing a result that overflows or underflows to 0.
 
-    Every caller's total is finite: sigma_known_gamma's comes from
-    _increment_sums, and joint_estimate's is a mean of v at a finite spread.
-    No caller passes a zero weight: joint_estimate's is delta > 0, and
-    sigma_known_gamma's is the window delta * m (inf at a large delta).
+    Every caller's total is finite and > 0: sigma_known_gamma's comes from
+    _increment_sums on a path that is not constant, and joint_estimate's is
+    a mean of v at a finite spread.  No caller passes a zero weight:
+    joint_estimate's is delta > 0, and sigma_known_gamma's is the window
+    delta * m, which is inf at a large delta and so gives 0.
     """
-    if weight == math.inf:
-        raise DegeneratePathError("weight sum is not finite")
     sigma_hat = math.sqrt(total / weight)
-    if not math.isfinite(sigma_hat):
-        raise DegeneratePathError("scale estimate is not finite")
+    if not 0.0 < sigma_hat < math.inf:
+        raise DegeneratePathError(f"scale estimate is not finite and > 0: {sigma_hat!r}")
     return sigma_hat
 
 

@@ -279,16 +279,21 @@ def read_path_csv(src: str | Path) -> SamplePath:
     if data is None or not np.isfinite(data).all() or not (data[:, 1] > 0).all():
         _raise_row_error(text.splitlines())
     times, values = data.T.copy()
-    step = float(times[1] - times[0])
+    # a step or span too large for a double is inf here, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(times)
+        step = float(steps[0])
+        # the written times are rounded to doubles: allow a few ulps of the largest |t|
+        tol = max(1e-9 * max(step, 1.0), 4 * float(np.spacing(np.abs(times).max())))
+        off_grid = (np.abs(steps - step) > tol) | (steps <= 0)
+        span = float(times[-1] - times[0])
     if step <= 0:
         raise CsvFormatError(f"line {_data_line(text.splitlines(), 1)}: time column must be strictly increasing")
-    # the written times are rounded to doubles: allow a few ulps of the largest |t|
-    tol = max(1e-9 * max(step, 1.0), 4 * float(np.spacing(np.abs(times).max())))
-    steps = np.diff(times)
-    off_grid = (np.abs(steps - step) > tol) | (steps <= 0)
     if off_grid.any():
         row = int(np.argmax(off_grid)) + 1  # the row that ends the first off-grid step
         raise CsvFormatError(f"line {_data_line(text.splitlines(), row)}: time grid is not uniform")
+    # an on-grid path whose step is inf has an inf span: this one check refuses both
+    if span == math.inf:
+        raise CsvFormatError(f"line {_data_line(text.splitlines(), n - 1)}: time span is not finite")
     # the span carries the rounding of two written times, not of two per step
-    delta = float(times[-1] - times[0]) / (n - 1)
-    return SamplePath(theta=float(times[0]), delta=delta, values=values)
+    return SamplePath(theta=float(times[0]), delta=span / (n - 1), values=values)

@@ -313,6 +313,19 @@ class TestEstimate:
         assert "--curve needs a grid search method: gamma-ratio, joint-variance, gamma-known-sigma" in err
         assert not curve.exists()
 
+    def test_overflowing_time_span_exit_2_names_line(self, tmp_path, capsys):
+        src = write_csv(tmp_path, "wide.csv", "t,y\n-1e308,1\n1e308,2\n")
+        assert run_cli("estimate", "--in", str(src), "--method", "joint") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {src}: line 3: time span is not finite\n"
+
+    def test_scale_that_underflows_exit_1(self, tmp_path, capsys):
+        # a path that is not constant, whose sigma estimate sqrt(2e-320 / 2e10) underflows to 0
+        src = write_csv(tmp_path, "tiny.csv", "t,y\n0,1e-150\n1e10,1.0000000001e-150\n2e10,1e-150\n")
+        assert run_cli("estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "0") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: scale estimate is not finite and > 0: 0.0\n"
+
     def test_constant_path_exit_1(self, tmp_path, capsys):
         src = write_csv(tmp_path, "flat.csv", "t,y\n0,5\n0.5,5\n1,5\n")
         assert run_cli("estimate", "--in", str(src), "--method", "joint") == 1
@@ -534,7 +547,9 @@ def test_flag_prefixes_are_unrecognized(argv, prefix, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {prefix} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {prefix} " in err
+    assert err.startswith(f"usage: pathvol {argv[0]} ")  # the subcommand's usage, not the top parser's
 
 
 def test_python_m_pathvol_runs_the_command_line(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_cir_paths, make_path, random_positive_path
@@ -392,19 +392,21 @@ def test_power_sums_match_max_shifted_sums_across_the_float_range(grid_n):
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
 )
+# R lies in the subnormal range here, where its product form carries too few digits for 1e-12
+@example(log_y=[0.0, -700.0], grid_n=77, search_range=[0.3597063697699661, 0.375], probes=[0.0, 0.8919085786547962])
 def test_ratio_search_power_ratio_is_nondecreasing(log_y, grid_n, search_range, probes):
     # R(g) = sum y**(2(g - h1)) / sum y**(2(g - h2)) is a weighted mean of y**(2(h2 - h1)) under
-    # weights y**(2(g - h2)), which shift towards the larger y as g grows: for h1 < h2 it never falls
+    # weights y**(2(g - h2)), which shift towards the larger y as g grows: for h1 < h2 it never falls.
+    # log R is compared, as R itself may lie below the normal doubles or above the largest one;
+    # no shifted sum is 0 or inf, so every log R is finite
     lo, hi = search_range
     h1, h2 = probes
     assume(lo < hi and h1 < h2)
     log_y = np.array(log_y)
     scales = 2.0 * (reference_grid(grid_n, (lo, hi)) - np.array([[h1], [h2]]))
     sums, shifts = _power_sums(log_y, scales)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = sums[0] / sums[1] * np.exp(shifts[0] - shifts[1])
-    assume(np.all(np.isfinite(ratio) & (ratio > 0.0)))
-    assert np.all(ratio[1:] >= ratio[:-1] * (1.0 - 1e-12))
+    log_ratio = np.log(sums[0]) - np.log(sums[1]) + (shifts[0] - shifts[1])
+    assert np.all(log_ratio[1:] >= log_ratio[:-1] + math.log1p(-1e-12))
 
 
 def test_known_sigma_level_term_matches_python_floats_bitwise():
@@ -507,8 +509,23 @@ def test_underflowing_mean_raises_without_numpy_warnings(search):
 
 def test_infinite_shifted_weight_raises_named_error():
     # the window delta * m = 1e308 * 2 overflows: no scale can be taken from it
-    with pytest.raises(DegeneratePathError, match="weight sum is not finite"):
+    with pytest.raises(DegeneratePathError, match="scale estimate is not finite"):
         sigma_known_gamma(make_path([1.0, 2.0, 3.0], delta=1e308), gamma=0.5)
+
+
+# not constant, but sum dy**2 / (delta * m) = 2e-320 / 2e10 underflows to 0 (and likewise mean(v) / delta
+# at delta = 1e300): a sigma of 0 would read a varying path as a constant one
+UNDERFLOWING_SCALE = [1e-150, 1e-150 + 1e-160, 1e-150]
+
+
+@pytest.mark.parametrize(
+    "estimate, delta",
+    [(lambda path: sigma_known_gamma(path, gamma=0.0), 1e10), (joint_estimate, 1e300)],
+    ids=["sigma-known-gamma", "joint-variance"],
+)
+def test_scale_that_underflows_to_zero_raises(estimate, delta):
+    with pytest.raises(DegeneratePathError, match=r"scale estimate is not finite and > 0: 0\.0"):
+        estimate(make_path(UNDERFLOWING_SCALE, delta=delta))
 
 
 @settings(max_examples=100, deadline=None)

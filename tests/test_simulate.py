@@ -548,9 +548,13 @@ class TestCsv:
             ("t,y\n0,1\n1e-12,2\n-1e-10,3\n", "line 4: time grid is not uniform"),
             # a repeated time, also within that tolerance
             ("t,y\n0,1\n1e-12,2\n1e-12,3\n", "line 4: time grid is not uniform"),
+            # finite times whose step, or whose span over 20 finite steps, exceeds the largest double
+            ("t,y\n-1e308,1\n1e308,2\n", "line 3: time span is not finite"),
+            ("t,y\n" + "".join(f"{1.7e307 * (i - 10)!r},1\n" for i in range(21)), "line 22: time span is not finite"),
         ],
         ids=["empty", "header", "field-count", "non-numeric", "non-finite", "nonpositive",
-             "row-count", "not-increasing", "off-grid", "backward-step", "repeated-time"],
+             "row-count", "not-increasing", "off-grid", "backward-step", "repeated-time",
+             "step-overflow", "span-overflow"],
     )
     def test_error_messages_in_full(self, text, message, read_csv):
         with pytest.raises(CsvFormatError) as exc:
