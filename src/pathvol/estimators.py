@@ -45,10 +45,10 @@ square-root (0.5) through linear (1.0) diffusion scalings live.
 joint_estimate and gamma_known_sigma evaluate their candidates together in
 (candidates x N) blocks, and their objective curves are bit for bit those of
 the per-candidate formulas above.  gamma_ratio_estimate takes its power sums
-from an exact split of the equally spaced exponents (``_power_sums``): one
-small matrix product of shifted exponentials, which cannot overflow.  Its
-curve is not bit for bit that of one exp per candidate, but agrees with it
-to 1e-12 of the larger of its two terms.
+from an exact 17-wide split of its 300 exponents (``_power_sums``): one small
+matrix product of shifted exponentials, no term above 1 and each sum's largest
+at least exp(-155), so no sum overflows or underflows.  Its curve agrees with
+one exp per candidate to 1e-12 of the larger of its two terms, not bit for bit.
 A separate helper backs the CIR parameters (a, b) out of a first and second
 moment of y(T).
 """
@@ -92,9 +92,6 @@ METHOD_INTEGRATED_SIGMA_SQ = "integrated-sigma-sq"
 
 # elements per (candidates x N) block: keeps the temporaries in cache up to N = 20 000
 _BLOCK = 1 << 14
-# e-folds by which the split shifts of _power_sums may exceed a sum's own largest term:
-# far from the subnormal range (about 708), so each sum keeps full precision
-_SHIFT_GAP = 300.0
 # candidates scanned by the ratio search and by the two spread searches
 _RATIO_GRID_N = 300
 _SPREAD_GRID_N = 30
@@ -243,16 +240,17 @@ def _power_sums(log_y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.n
     Each factor is shifted by its largest exponent over the path, which s * l
     (linear in l) takes at min(log_y) or max(log_y): no term exceeds 1 and no
     sum overflows.  The shifts of c and f together may exceed that of s by
-    (width - 1) * step * (max - min of log_y); width is cut so this stays
-    within _SHIFT_GAP and no sum underflows.
+    (width - 1) * step * (max - min of log_y).  The ratio search's 300
+    candidates split 17 wide, with a step of 2 * (hi - lo) / 300 <= 2/300 for
+    any search_range (lo, hi) and probes; log y of positive doubles spans at
+    most log(1.7976931348623157e308) - log(5e-324) = 1454.2.  So the excess is
+    at most 16 * (2/300) * 1454.2 = 155 e-folds, far from the subnormal range
+    (about 708): no sum underflows.
     """
     probes, count = scales.shape
     step = (scales[0, -1] - scales[0, 0]) / (count - 1)
     lo, hi = float(log_y.min()), float(log_y.max())
-    spread = step * (hi - lo)
     width = math.isqrt(count)
-    if (width - 1) * spread > _SHIFT_GAP:
-        width = 1 + int(_SHIFT_GAP / spread)
     coarse = scales[:, ::width].ravel()
     fine = step * np.arange(width)
     coarse_shift = np.maximum(coarse * lo, coarse * hi)

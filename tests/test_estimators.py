@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_cir_paths, make_path, random_positive_path
@@ -369,41 +369,42 @@ def test_power_sums_scale_exactly_and_cannot_overflow():
     assert math.isfinite(result.gamma_hat) and math.isfinite(result.objective_min)
 
 
-@pytest.mark.parametrize("grid_n", [4, 9, 300])
-def test_power_sums_match_max_shifted_sums_across_the_float_range(grid_n):
-    # log y spans about 1 400 e-folds: the split shifts could exceed a sum's largest term by
-    # about 700 at grid_n = 4, into the subnormal range, unless the split is narrowed; the
-    # second path spans about 1 000, where grid_n = 9 narrows the split to width 2, not 1
-    scales = 2.0 * (reference_grid(grid_n, (0.0, 1.0)) - np.array([[0.9], [1.0]]))
-    for values in ([1e308, 1e-300, 1e-316, 3.0, 1e200], [1e200, 1e-234, 3.0, 1e-100, 1e100]):
+# search sub-ranges (lo < hi) and probe pairs (h1 != h2) of the ratio search, drawn from [0, 1]
+SEARCH_RANGES = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted).filter(lambda r: r[0] < r[1])
+PROBES = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda p: p[0] != p[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEARCH_RANGES, PROBES)
+@example(search_range=[0.0, 1.0], probes=[0.0, 1.0])  # the largest step, 2/300
+def test_power_sums_match_max_shifted_sums_across_the_float_range(search_range, probes):
+    # the ratio search's 300 candidates split 17 wide: the split shifts exceed a sum's largest term
+    # by at most 16 * (2/300) * 1454.2 = 155 e-folds, even where log y spans the whole double range
+    scales = 2.0 * (reference_grid(300, search_range) - np.array(probes)[:, None])
+    for values in (
+        [1e308, 1e-300, 1e-316, 3.0, 1e200],
+        [1e200, 1e-234, 3.0, 1e-100, 1e100],
+        [5e-324, 1.0, 1.7976931348623157e308, 1e-10],
+    ):
         log_y = np.log(values)
         sums, shifts = _power_sums(log_y, scales)
-        for row_sums, row_shifts, row_scales in zip(sums, shifts, scales):
-            for total, shift, s in zip(row_sums, row_shifts, row_scales):
-                top = max(s * log_y.min(), s * log_y.max())
-                expected = float(np.sum(np.exp(s * log_y - top)))
-                assert total * math.exp(shift - top) == pytest.approx(expected, rel=1e-12)
+        top = np.maximum(scales * log_y.min(), scales * log_y.max())
+        expected = np.exp(scales[:, :, None] * log_y - top[:, :, None]).sum(axis=2)
+        np.testing.assert_allclose(sums * np.exp(shifts - top), expected, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40),
-    st.integers(2, 300),
-    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
-    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
-)
+@given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40), SEARCH_RANGES, PROBES.map(sorted))
 # R lies in the subnormal range here, where its product form carries too few digits for 1e-12
-@example(log_y=[0.0, -700.0], grid_n=77, search_range=[0.3597063697699661, 0.375], probes=[0.0, 0.8919085786547962])
-def test_ratio_search_power_ratio_is_nondecreasing(log_y, grid_n, search_range, probes):
+@example(log_y=[0.0, -700.0], search_range=[0.3597063697699661, 0.375], probes=[0.0, 0.8919085786547962])
+def test_ratio_search_power_ratio_is_nondecreasing(log_y, search_range, probes):
     # R(g) = sum y**(2(g - h1)) / sum y**(2(g - h2)) is a weighted mean of y**(2(h2 - h1)) under
     # weights y**(2(g - h2)), which shift towards the larger y as g grows: for h1 < h2 it never falls.
     # log R is compared, as R itself may lie below the normal doubles or above the largest one;
     # no shifted sum is 0 or inf, so every log R is finite
-    lo, hi = search_range
     h1, h2 = probes
-    assume(lo < hi and h1 < h2)
     log_y = np.array(log_y)
-    scales = 2.0 * (reference_grid(grid_n, (lo, hi)) - np.array([[h1], [h2]]))
+    scales = 2.0 * (reference_grid(300, search_range) - np.array([[h1], [h2]]))
     sums, shifts = _power_sums(log_y, scales)
     log_ratio = np.log(sums[0]) - np.log(sums[1]) + (shifts[0] - shifts[1])
     assert np.all(log_ratio[1:] >= log_ratio[:-1] + math.log1p(-1e-12))
