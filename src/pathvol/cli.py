@@ -30,6 +30,7 @@ from .model import MissingKeyError, ModelSpec, format_drift, parse_model_config,
 from .simulate import (
     CsvFormatError,
     SimConfig,
+    _write_pairs,
     euler_maruyama,
     read_path_csv,
     write_path_csv,
@@ -130,13 +131,6 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _write_curve(result: EstimateResult, dest: Path) -> None:
-    lines = ["h,objective"]
-    for h, obj in result.objective_curve:
-        lines.append(f"{h:.17g},{obj:.17g}")
-    dest.write_text("\n".join(lines) + "\n")
-
-
 def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     method = _METHOD_ALIASES.get(args.method, args.method)
     try:
@@ -157,7 +151,7 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 
     result = spec.result(path)
     if args.curve is not None:
-        _write_curve(result, args.curve)
+        _write_pairs(args.curve, "h,objective", result.grid, result.objective)
     if result.degenerate:
         print("warning: zero-variance path; sigma estimate is 0", file=sys.stderr)
     print(EstimateResult.CSV_HEADER)

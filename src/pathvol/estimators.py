@@ -138,12 +138,8 @@ class EstimateResult:
         return None if self.grid is None else tuple(zip(self.grid.tolist(), self.objective.tolist()))
 
     def to_csv_row(self) -> str:
-        def fmt(x: float | int | None) -> str:
-            if x is None:
-                return ""
-            if isinstance(x, int):
-                return str(x)
-            return format(x, ".17g")
+        def fmt(x: float | None) -> str:
+            return "" if x is None else format(x, ".17g")
 
         return ",".join(
             [self.method, fmt(self.gamma_hat), fmt(self.sigma_hat), fmt(self.grid_n), fmt(self.objective_min)]

@@ -19,8 +19,6 @@ rows a step-count filter keeps.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -253,25 +251,17 @@ class TableReport:
     rows: tuple[TableRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["row_id", "rmse", "mae", "bias", "paper_rmse", "paper_mae", "paper_bias", "ratio"]
+        """A header, then per row its id, the rmse / mae / bias and their references in 6 digits, the ratio in 4.
+
+        No field needs quoting: the ids, those of _TABLES, hold no comma, quote or line break.
+        """
+        lines = ["row_id,rmse,mae,bias,paper_rmse,paper_mae,paper_bias,ratio"]
+        lines += (
+            f"{row.row_id},{row.stats.rmse:.6g},{row.stats.mae:.6g},{row.stats.bias:.6g},"
+            f"{row.paper_rmse:.6g},{row.paper_mae:.6g},{row.paper_bias:.6g},{row.ratio:.4g}"
+            for row in self.rows
         )
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.row_id,
-                    f"{row.stats.rmse:.6g}",
-                    f"{row.stats.mae:.6g}",
-                    f"{row.stats.bias:.6g}",
-                    f"{row.paper_rmse:.6g}",
-                    f"{row.paper_mae:.6g}",
-                    f"{row.paper_bias:.6g}",
-                    f"{row.ratio:.4g}",
-                ]
-            )
-        return buf.getvalue()
+        return "\n".join(lines) + "\n"
 
     def format_text(self) -> str:
         header = (

@@ -198,12 +198,19 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
 # with a non-ASCII byte (a UTF-8 digit float() would read), naming its line.
 
 
-def write_path_csv(path: SamplePath, dest: str | Path) -> None:
-    """Write ``path`` to the file ``dest`` as a "t,y" CSV that read_path_csv reads back bit for bit."""
-    rows = map("{:.17g},{:.17g}\n".format, path.times.tolist(), path.values.tolist())
-    text = "t,y\n" + "".join(rows)
+def _write_pairs(dest: str | Path, header: str, first: np.ndarray, second: np.ndarray) -> None:
+    """Write the line ``header``, then one "first,second" row per pair, to the ASCII file ``dest``.
+
+    The 17 significant digits of each value read back bit for bit with float().
+    """
+    text = header + "\n" + "".join(map("{:.17g},{:.17g}\n".format, first.tolist(), second.tolist()))
     with open(dest, "w", encoding="ascii") as fh:
         fh.write(text)
+
+
+def write_path_csv(path: SamplePath, dest: str | Path) -> None:
+    """Write ``path`` to the file ``dest``: the header "t,y", then one row per grid point, read back bit for bit by read_path_csv."""
+    _write_pairs(dest, "t,y", path.times, path.values)
 
 
 def _data_line(lines: list[str], row: int) -> int:

@@ -13,7 +13,14 @@ import pytest
 import pathvol
 from pathvol import cli, experiment
 from pathvol.cli import _MODEL_FLAGS, build_parser, main
-from pathvol.estimators import METHODS, EstimateResult
+from pathvol.estimators import (
+    METHOD_GAMMA_KNOWN_SIGMA,
+    METHOD_GAMMA_RATIO,
+    METHOD_JOINT_VARIANCE,
+    METHODS,
+    EstimateResult,
+    EstimatorSpec,
+)
 from pathvol.experiment import TABLE_IDS
 from pathvol.model import ModelSpec, ckls_model, format_model_config, sample_delay_drift
 from pathvol.simulate import DegeneratePathError, read_path_csv
@@ -248,9 +255,21 @@ class TestEstimate:
         gamma_hat, sigma_hat = float(row[1]), float(row[2])
         assert abs(gamma_hat - 0.6) < 0.15
         assert abs(sigma_hat - 0.3) < 0.05
-        curve_lines = curve.read_text().strip().splitlines()
-        assert curve_lines[0] == "h,objective"
-        assert len(curve_lines) == 31  # header + default grid of 30
+        # each grid search's curve file: a header, then every (candidate, objective) pair bit for bit
+        path = read_path_csv(src)
+        for method, known, rows in [
+            (METHOD_GAMMA_RATIO, {}, 300),
+            (METHOD_JOINT_VARIANCE, {}, 30),
+            (METHOD_GAMMA_KNOWN_SIGMA, {"sigma": 0.3}, 30),
+        ]:
+            flags = [f"--{name}={value}" for name, value in known.items()]
+            assert run_cli("estimate", "--in", str(src), "--method", method, *flags, "--curve", str(curve)) == 0
+            header, *lines = curve.read_text().splitlines()
+            assert header == "h,objective" and len(lines) == rows
+            grid, objective = np.array([[float(field) for field in line.split(",")] for line in lines]).T
+            result = EstimatorSpec(method, **known).result(path)
+            assert grid.tobytes() == result.grid.tobytes()
+            assert objective.tobytes() == result.objective.tobytes()
 
     def test_integrated_method(self, tmp_path, capsys):
         src = write_csv(tmp_path, "two.csv", "t,y\n0,1\n0.01,1.1\n")

@@ -1,6 +1,8 @@
 """Monte-Carlo harness: error aggregation, trial protocol, benchmark tables."""
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 from dataclasses import fields
@@ -27,6 +29,27 @@ from pathvol.experiment import (
     run_trials,
 )
 from pathvol.simulate import DegeneratePathError, SimConfig
+
+
+def _csv_writer_text(report) -> str:
+    """The report as csv.writer renders it: the reference for TableReport.to_csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row_id", "rmse", "mae", "bias", "paper_rmse", "paper_mae", "paper_bias", "ratio"])
+    for row in report.rows:
+        writer.writerow(
+            [
+                row.row_id,
+                f"{row.stats.rmse:.6g}",
+                f"{row.stats.mae:.6g}",
+                f"{row.stats.bias:.6g}",
+                f"{row.paper_rmse:.6g}",
+                f"{row.paper_mae:.6g}",
+                f"{row.paper_bias:.6g}",
+                f"{row.ratio:.4g}",
+            ]
+        )
+    return buf.getvalue()
 
 
 def tiny_config(**overrides):
@@ -304,13 +327,19 @@ class TestTables:
             reproduce_table("t2", trials=2, n_steps_filter=(777,))
 
     def test_csv_and_text_rendering(self):
-        report = reproduce_table("t1b", trials=2)
-        csv_text = report.to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "row_id,rmse,mae,bias,paper_rmse,paper_mae,paper_bias,ratio"
-        assert len(lines) == 5
-        text = report.format_text()
-        assert "table t1b" in text and "ratio" in text
+        for table_id in TABLE_IDS:
+            report = reproduce_table(table_id, trials=3)
+            csv_text = report.to_csv()
+            assert csv_text == _csv_writer_text(report)
+            assert csv_text.count("\n") == len(experiment._TABLES[table_id]) + 1
+            text = report.format_text()
+            assert f"table {table_id}" in text and "ratio" in text
+
+    def test_row_ids_need_no_csv_quoting(self):
+        # csv.writer then quotes no field, so to_csv's plain comma-joined lines are its bytes
+        for rows in experiment._TABLES.values():
+            for row_id, *_ in rows:
+                assert not set(row_id) & set(',"\r\n'), row_id
 
     def test_ratio_definition(self):
         report = reproduce_table("t1b", trials=2)
