@@ -7,9 +7,11 @@ file; --model random-delay then adds the lines of a drift drawn from the seed.
 
 Exit codes: 0 success, 1 runtime failure (a simulation that fails, an
 output file that cannot be written, a degenerate input path), 2 usage
-errors (bad flags or flag values, a model or simulation parameter that the
-model or SimConfig refuses, malformed input files).  main maps every
-runtime failure to one "error:" line and exit 1.
+errors (bad flags or flag values, a flag that the estimate method does not
+read, a model or simulation parameter that the model or SimConfig refuses,
+an unreadable or malformed input file), each raised by the subcommand's
+parser under its usage line.  main alone returns: 0, or 1 after one
+"error:" line for any runtime failure.
 """
 from __future__ import annotations
 
@@ -112,7 +114,7 @@ def _build_model(args, parser: argparse.ArgumentParser, rng: np.random.Generator
         parser.error(f"{exc}: give {flag}a {exc.key}= line in the --config file")
 
 
-def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
+def cmd_simulate(args, parser: argparse.ArgumentParser) -> None:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
@@ -128,10 +130,9 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         f"stopped_early={path.stopped_early} m={path.m} positivity_fixes={path.positivity_fixes}",
         file=sys.stderr,
     )
-    return 0
 
 
-def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
+def cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
     method = _METHOD_ALIASES.get(args.method, args.method)
     try:
         spec = EstimatorSpec(method, **{name: getattr(args, name) for name in _PARAMS})
@@ -143,11 +144,9 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     try:
         path = read_path_csv(args.infile)
     except OSError as exc:
-        print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
-        return 2
+        parser.error(f"--in: cannot read file: {exc}")
     except CsvFormatError as exc:
-        print(f"error: {args.infile}: {exc}", file=sys.stderr)
-        return 2
+        parser.error(f"--in {args.infile}: {exc}")
 
     result = spec.result(path)
     if args.curve is not None:
@@ -156,10 +155,9 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         print("warning: zero-variance path; sigma estimate is 0", file=sys.stderr)
     print(EstimateResult.CSV_HEADER)
     print(result.to_csv_row())
-    return 0
 
 
-def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
+def cmd_experiment(args, parser: argparse.ArgumentParser) -> None:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
     if args.seed < 0:
@@ -175,7 +173,6 @@ def cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
             print(f"table {table_id}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
             if args.out is not None:
                 out.write(report.to_csv())
-    return 0
 
 
 _parser = functools.cache(build_parser)  # main's, built once: parsing leaves it as it was, its defaults immutable
@@ -188,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         # cmd_<command> is looked up when called
-        return globals()[f"cmd_{args.command}"](args, args.parser)
+        globals()[f"cmd_{args.command}"](args, args.parser)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0

@@ -456,19 +456,19 @@ class EstimatorSpec:
     """One checked estimator call: a registered method, its parameters and its target.
 
     ``EstimatorSpec(method, target=None, **params)`` checks ``params`` once
-    and keeps the estimator's keyword arguments in ``kwargs``, a read-only
-    mapping.  None values are dropped, so the estimator's own defaults
-    apply, and so are parameters the method does not take; a list
+    and keeps the given ones, None meaning "not given", as the estimator's
+    keyword arguments in ``kwargs``, a read-only mapping; a list
     ``search_range`` is kept as a tuple.  Raises ValueError for an unknown
-    method, a missing required parameter, a given or defaulted value that
-    the estimators refuse (a parameter the method does not take included)
-    or a target the method does not produce, and TypeError for a name that
-    no registered method takes, even set to None.  Running the spec on a path skips the checks of the
-    method name and of the required parameters; the estimator still checks
-    its argument values, as on any direct call.  ``target`` is the
-    coordinate ``estimate`` returns ("sigma" or "gamma"); by default it
-    follows the method (sigma-known-gamma -> sigma, the gamma searches ->
-    gamma).  joint-variance produces both, so either target is valid for it.
+    method, a value for a parameter the method does not take, a missing
+    required parameter, a given or defaulted value that the estimators
+    refuse or a target the method does not produce, and TypeError for a
+    name that no registered method takes, even set to None.  Running the
+    spec on a path skips the checks of the method name and of the required
+    parameters; the estimator still checks its argument values, as on any
+    direct call.  ``target`` is the coordinate ``estimate`` returns ("sigma"
+    or "gamma"); by default it follows the method (sigma-known-gamma ->
+    sigma, the gamma searches -> gamma).  joint-variance produces both, so
+    either target is valid for it.
     """
 
     method: str
@@ -481,12 +481,13 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator method {method!r}; expected one of {tuple(METHODS)}")
         if unknown := params.keys() - _PARAMS:
             raise TypeError(f"unknown estimator parameter {min(unknown)!r}; expected one of {sorted(_PARAMS)}")
-        given = {name: value for name, value in params.items() if value is not None}
+        kwargs = {name: value for name, value in params.items() if value is not None}
+        if foreign := kwargs.keys() - {*entry.required, *entry.defaults}:
+            raise ValueError(f"{method} takes no {min(foreign)} parameter")
         for name in entry.required:
-            if name not in given:
+            if name not in kwargs:
                 raise ValueError(f"{method} needs its {name} parameter")
-        _check(**{**entry.defaults, **given})
-        kwargs = {name: given[name] for name in (*entry.required, *entry.defaults) if name in given}
+        _check(**{**entry.defaults, **kwargs})
         if "search_range" in kwargs:  # a tuple, so that a spec holds no list its caller can change
             kwargs["search_range"] = tuple(map(float, kwargs["search_range"]))
         if target is None:

@@ -72,6 +72,9 @@ def _offsets(source: bytes) -> list[int]:
 
 
 def _is_text(node: ast.AST) -> bool:
+    """A string literal, an f-string, or a ``+`` chain with one of them among its leaves."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_text(node.left) or _is_text(node.right)
     return isinstance(node, ast.JoinedStr) or (isinstance(node, ast.Constant) and isinstance(node.value, str))
 
 

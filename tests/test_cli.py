@@ -36,6 +36,28 @@ def write_csv(tmp_path, name, text):
     return dest
 
 
+def assert_estimate_usage_error(*argv, capsys):
+    """Run ``pathvol estimate *argv``, check that it is a usage error of estimate, and return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("estimate", *argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: pathvol estimate ")
+    return err
+
+
+# an in-range value of each estimator parameter flag
+FLAG_VALUES = {"gamma": ["0.4"], "h1": ["0.25"], "h2": ["0.75"], "sigma": ["0.3"], "search_range": ["0.5", "1"]}
+# every (method name of the command line, parameter that its method does not read)
+FOREIGN_FLAGS = [
+    (name, param)
+    for name in (*METHODS, *cli._METHOD_ALIASES)
+    for m in [METHODS[cli._METHOD_ALIASES.get(name, name)]]
+    for param in FLAG_VALUES
+    if param not in (*m.required, *m.defaults)
+]
+
+
 class TestSimulate:
     def test_zero_noise_cir_at_equilibrium_is_constant(self, tmp_path, capsys):
         out = tmp_path / "path.csv"
@@ -282,10 +304,8 @@ class TestEstimate:
 
     def test_malformed_csv_exit_2_names_line(self, tmp_path, capsys):
         src = write_csv(tmp_path, "bad.csv", "t,y\n0,1\nbad,row\n")
-        assert run_cli(
-            "estimate", "--in", str(src), "--method", "joint"
-        ) == 2
-        assert "line 3" in capsys.readouterr().err
+        err = assert_estimate_usage_error("--in", str(src), "--method", "joint", capsys=capsys)
+        assert f"error: --in {src}: line 3: " in err
 
     @pytest.mark.parametrize(
         "data,message",
@@ -298,17 +318,14 @@ class TestEstimate:
     def test_non_ascii_csv_exit_2_names_line(self, tmp_path, capsys, data, message):
         src = tmp_path / "bad.csv"
         src.write_bytes(data)
-        assert run_cli(
-            "estimate", "--in", str(src), "--method", "integrated", "--gamma", "0.5"
-        ) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {src}: {message}\n"
+        err = assert_estimate_usage_error(
+            "--in", str(src), "--method", "integrated", "--gamma", "0.5", capsys=capsys
+        )
+        assert err.endswith(f"pathvol estimate: error: --in {src}: {message}\n")
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
-        assert run_cli(
-            "estimate", "--in", str(tmp_path / "nope.csv"), "--method", "joint"
-        ) == 2
-        assert "cannot read" in capsys.readouterr().err
+        err = assert_estimate_usage_error("--in", str(tmp_path / "nope.csv"), "--method", "joint", capsys=capsys)
+        assert "error: --in: cannot read file: " in err and "nope.csv" in err
 
     def test_unwritable_curve_exit_1(self, tmp_path, capsys):
         src = write_csv(tmp_path, "path.csv", "t,y\n0,1\n0.5,1.2\n1,0.9\n")
@@ -334,9 +351,19 @@ class TestEstimate:
 
     def test_overflowing_time_span_exit_2_names_line(self, tmp_path, capsys):
         src = write_csv(tmp_path, "wide.csv", "t,y\n-1e308,1\n1e308,2\n")
-        assert run_cli("estimate", "--in", str(src), "--method", "joint") == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {src}: line 3: time span is not finite\n"
+        err = assert_estimate_usage_error("--in", str(src), "--method", "joint", capsys=capsys)
+        assert err.endswith(f"pathvol estimate: error: --in {src}: line 3: time span is not finite\n")
+
+    @pytest.mark.parametrize("name, param", FOREIGN_FLAGS)
+    def test_flag_the_method_does_not_read_is_a_usage_error(self, tmp_path, capsys, name, param):
+        # refused before the input is read: the missing file goes unreported
+        method = cli._METHOD_ALIASES.get(name, name)
+        own = [arg for p in METHODS[method].required for arg in (f"--{p}", *FLAG_VALUES[p])]
+        flag = "--" + param.replace("_", "-")
+        err = assert_estimate_usage_error(
+            "--in", str(tmp_path / "nope.csv"), "--method", name, *own, flag, *FLAG_VALUES[param], capsys=capsys
+        )
+        assert err.endswith(f"pathvol estimate: error: {method} takes no {param} parameter\n")
 
     def test_scale_that_underflows_exit_1(self, tmp_path, capsys):
         # a path that is not constant, whose sigma estimate sqrt(2e-320 / 2e10) underflows to 0
@@ -449,12 +476,16 @@ class TestEstimate:
         ("experiment", "--table", "t1a", "t2", "--out", "x.csv"),
         ("estimate", "--in", "nope.csv", "--method", "gamma-known-sigma", "--sigma", "0"),
         ("simulate", "--n", "1", "--out", "x.csv"),
+        # an --in file that cannot be read, and one that is malformed
+        ("estimate", "--in", "{tmp}/nope.csv", "--method", "joint"),
+        ("estimate", "--in", "{tmp}/bad.csv", "--method", "joint"),
     ],
-    ids=lambda argv: argv[0],
+    ids=["experiment", "estimate", "simulate", "estimate-missing-in", "estimate-malformed-in"],
 )
-def test_usage_error_shows_the_subcommand_usage(argv, capsys):
+def test_usage_error_shows_the_subcommand_usage(argv, tmp_path, capsys):
+    write_csv(tmp_path, "bad.csv", "t,y\n0,1\nbad,row\n")
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
+        run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: pathvol {argv[0]} ")
@@ -484,7 +515,6 @@ def test_main_calls_share_no_parsed_state(monkeypatch):
         seen.append((tuple(args.table), args.trials))
         if isinstance(args.table, list):
             args.table.clear()
-        return 0
 
     monkeypatch.setattr(cli, "cmd_experiment", consume)
     assert main(["experiment", "--table", "t2", "--trials", "3"]) == 0
@@ -583,4 +613,5 @@ def test_python_m_pathvol_runs_the_command_line(tmp_path):
     table = run("experiment", "--table", "t1a", "--trials", "2")
     assert table.returncode == 0 and "table t1a (2 trials per row)" in table.stdout
     missing = run("estimate", "--in", str(tmp_path / "nope.csv"), "--method", "joint")
-    assert missing.returncode == 2 and "cannot read" in missing.stderr
+    assert missing.returncode == 2 and missing.stderr.startswith("usage: pathvol estimate ")
+    assert "cannot read" in missing.stderr

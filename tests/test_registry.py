@@ -189,11 +189,21 @@ class TestCheckParams:
         # parameter names live in the estimator signatures, _check and the flags alone
         assert set(inspect.signature(estimators._check).parameters) == estimators._PARAMS
 
-    def test_drops_none_and_parameters_the_method_does_not_take(self):
+    def test_drops_none_and_refuses_parameters_the_method_does_not_take(self):
+        unset = dict.fromkeys(estimators._PARAMS)
+        assert EstimatorSpec(METHOD_JOINT_VARIANCE, **unset).kwargs == {}
+        assert EstimatorSpec(METHOD_SIGMA_KNOWN_GAMMA, **{**unset, "gamma": 0.5}).kwargs == {"gamma": 0.5}
+        assert EstimatorSpec(METHOD_GAMMA_RATIO, **{**unset, "h1": 0.25}).kwargs == {"h1": 0.25}
+        # a value given for a parameter the method does not take is refused, even one in range
         params = {"gamma": 0.5, "h1": 0.25, "h2": None, "sigma": 0.3}
-        assert EstimatorSpec(METHOD_JOINT_VARIANCE, **params).kwargs == {}
-        assert EstimatorSpec(METHOD_SIGMA_KNOWN_GAMMA, **params).kwargs == {"gamma": 0.5}
-        assert EstimatorSpec(METHOD_GAMMA_RATIO, **params).kwargs == {"h1": 0.25}
+        for method, foreign in [
+            (METHOD_JOINT_VARIANCE, "gamma"),
+            (METHOD_SIGMA_KNOWN_GAMMA, "h1"),
+            (METHOD_GAMMA_RATIO, "gamma"),
+            (METHOD_GAMMA_KNOWN_SIGMA, "gamma"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{method} takes no {foreign} parameter$"):
+                EstimatorSpec(method, **params)
 
     @pytest.mark.parametrize(
         "method, params, match",
@@ -204,10 +214,11 @@ class TestCheckParams:
             (METHOD_GAMMA_KNOWN_SIGMA, {}, "needs its sigma"),
             (METHOD_JOINT_VARIANCE, {"search_range": (0.5, 0.5)}, "search_range"),
             (METHOD_SIGMA_KNOWN_GAMMA, {"gamma": 1.5}, "gamma must lie"),
-            # a value no estimator accepts is refused whichever method runs
-            (METHOD_JOINT_VARIANCE, {"sigma": -1.0}, "sigma must be > 0"),
+            # a parameter the method does not take is refused, before its value is checked
+            (METHOD_JOINT_VARIANCE, {"sigma": -1.0}, "takes no sigma"),
             # a search_range is a pair; accepted, three values failed only in the estimator
             (METHOD_JOINT_VARIANCE, {"search_range": (0.2, 0.5, 1.0)}, "search_range"),
+            # and integrated-sigma-sq takes none: "takes no search_range parameter"
             (METHOD_INTEGRATED_SIGMA_SQ, {"gamma": 0.5, "search_range": (0.5,)}, "search_range"),
         ],
     )
