@@ -132,6 +132,13 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _estimate_csv(method: str, result: EstimateResult) -> str:
+    """``pathvol estimate``'s header and row: the method, then each value as .17g, or empty for None."""
+    values = (result.gamma_hat, result.sigma_hat, result.grid_n, result.objective_min)
+    row = ",".join([method, *("" if x is None else format(x, ".17g") for x in values)])
+    return f"method,gamma_hat,sigma_hat,grid_n,objective_min\n{row}"
+
+
 def cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
     method = _METHOD_ALIASES.get(args.method, args.method)
     try:
@@ -153,8 +160,7 @@ def cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
         _write_pairs(args.curve, "h,objective", result.grid, result.objective)
     if result.degenerate:
         print("warning: zero-variance path; sigma estimate is 0", file=sys.stderr)
-    print(EstimateResult.CSV_HEADER)
-    print(result.to_csv_row())
+    print(_estimate_csv(spec.method, result))
 
 
 def cmd_experiment(args, parser: argparse.ArgumentParser) -> None:

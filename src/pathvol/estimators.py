@@ -21,8 +21,8 @@ kernel that computes the same values):
   (the joint_estimate spread plus a term matching mean(v[h])/delta to
   sigma**2).
 * integrated_sigma_sq: sum_k v[gamma, k] estimates the integral of
-  sigma(s)^2 ds over the observation window (time-dependent scale); the
-  integrated-sigma-sq method is sigma_known_gamma under its own name.
+  sigma(s)^2 ds over the observation window (time-dependent scale).  The
+  integrated-sigma-sq method is sigma_known_gamma: ``METHODS`` names it.
 
 An increment sum that overflows raises DegeneratePathError, as do one that
 underflows to 0 on a path that is not constant (a constant path's sums are 0
@@ -30,7 +30,8 @@ exactly), a window delta * m or a sigma quotient that overflows, a grid
 search whose objective is not finite, and gamma_known_sigma when
 delta * sigma**2 is 0 or inf.
 
-``METHODS`` maps each method name to its estimator.  An ``EstimatorSpec``
+``METHODS`` maps each method name to its estimator, the one place that pairs
+them: a result does not name its method.  An ``EstimatorSpec``
 checks the parameters of one method once and then runs it on any number of
 paths; it is the one way in by method name, and the experiments and the
 command line both call the estimators through it.
@@ -57,7 +58,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -116,14 +117,11 @@ class EstimateResult:
     a zero-variance path on which the estimate is the trivial sigma = 0.
     """
 
-    method: str
     gamma_hat: float | None = None
     sigma_hat: float | None = None
     grid: np.ndarray | None = field(default=None, compare=False)
     objective: np.ndarray | None = field(default=None, compare=False)
     degenerate: bool = False
-
-    CSV_HEADER = "method,gamma_hat,sigma_hat,grid_n,objective_min"
 
     @property
     def grid_n(self) -> int | None:
@@ -136,14 +134,6 @@ class EstimateResult:
     @property
     def objective_curve(self) -> tuple[tuple[float, float], ...] | None:
         return None if self.grid is None else tuple(zip(self.grid.tolist(), self.objective.tolist()))
-
-    def to_csv_row(self) -> str:
-        def fmt(x: float | None) -> str:
-            return "" if x is None else format(x, ".17g")
-
-        return ",".join(
-            [self.method, fmt(self.gamma_hat), fmt(self.sigma_hat), fmt(self.grid_n), fmt(self.objective_min)]
-        )
 
 
 def _check(
@@ -281,7 +271,6 @@ def _sigma_hat(total: float, weight: float) -> float:
 
 
 def _search_result(
-    method: str,
     grid: np.ndarray,
     objective: np.ndarray,
     v_bars: np.ndarray | None = None,
@@ -298,7 +287,6 @@ def _search_result(
     best = int(objective.argmin())
     grid.flags.writeable = objective.flags.writeable = False
     return EstimateResult(
-        method=method,
         gamma_hat=float(grid[best]),
         sigma_hat=None if v_bars is None else _sigma_hat(float(v_bars[best]), delta),
         grid=grid,
@@ -315,9 +303,9 @@ def sigma_known_gamma(path: SamplePath, gamma: float) -> EstimateResult:
     """
     total = integrated_sigma_sq(path, gamma)
     if total == 0.0:
-        return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=0.0, degenerate=True)
+        return EstimateResult(sigma_hat=0.0, degenerate=True)
     window = path.delta * (path.values.size - 1)
-    return EstimateResult(method=METHOD_SIGMA_KNOWN_GAMMA, sigma_hat=_sigma_hat(total, window))
+    return EstimateResult(sigma_hat=_sigma_hat(total, window))
 
 
 def gamma_ratio_estimate(
@@ -340,7 +328,7 @@ def gamma_ratio_estimate(
         rhs = s1 / s2
         sums, shifts = _power_sums(np.log(path.values[1:]), scales)
         objective = np.abs(sums[0] / sums[1] * np.exp(shifts[0] - shifts[1]) - rhs)
-    return _search_result(METHOD_GAMMA_RATIO, grid, objective)
+    return _search_result(grid, objective)
 
 
 def joint_estimate(path: SamplePath, search_range: tuple[float, float] = (0.0, 1.0)) -> EstimateResult:
@@ -358,7 +346,7 @@ def joint_estimate(path: SamplePath, search_range: tuple[float, float] = (0.0, 1
     _check(search_range=search_range)
     grid = _grid(_SPREAD_GRID_N, search_range)
     v_bars, objective = _spread(path, grid)
-    return _search_result(METHOD_JOINT_VARIANCE, grid, objective, v_bars, path.delta)
+    return _search_result(grid, objective, v_bars, path.delta)
 
 
 def gamma_known_sigma(
@@ -391,7 +379,7 @@ def gamma_known_sigma(
         objective = np.array([s + m * (v / level_target - 1.0) ** 2 for v, s in pairs])
     except OverflowError:  # float ** 2 raises where numpy would give inf
         raise DegeneratePathError("level term is not finite") from None
-    return _search_result(METHOD_GAMMA_KNOWN_SIGMA, grid, objective)
+    return _search_result(grid, objective)
 
 
 def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
@@ -403,11 +391,6 @@ def integrated_sigma_sq(path: SamplePath, gamma: float) -> float:
     _check(gamma=gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(_increment_sums(path, [gamma])[0])
-
-
-def _integrated_sigma(path: SamplePath, gamma: float) -> EstimateResult:
-    """sigma from integrated_sigma_sq over the window: sigma_known_gamma's result under this method's name."""
-    return replace(sigma_known_gamma(path, gamma), method=METHOD_INTEGRATED_SIGMA_SQ)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +428,7 @@ METHODS = {
     METHOD_GAMMA_RATIO: _method("gamma_ratio_estimate", "gamma"),
     METHOD_JOINT_VARIANCE: _method("joint_estimate", "gamma", "sigma"),
     METHOD_GAMMA_KNOWN_SIGMA: _method("gamma_known_sigma", "gamma"),
-    METHOD_INTEGRATED_SIGMA_SQ: _method("_integrated_sigma", "sigma"),
+    METHOD_INTEGRATED_SIGMA_SQ: _method("sigma_known_gamma", "sigma"),
 }
 # every parameter some registered method takes; the only names an EstimatorSpec accepts
 _PARAMS = frozenset(name for m in METHODS.values() for name in (*m.required, *m.defaults))

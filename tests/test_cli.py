@@ -250,6 +250,23 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+class TestEstimateCsv:
+    """cli._estimate_csv, the header and row that ``pathvol estimate`` prints."""
+
+    def test_csv_row_full_precision(self):
+        result = EstimateResult(gamma_hat=0.6, sigma_hat=1 / 3, grid=np.arange(1, 31) / 30)
+        row = cli._estimate_csv("joint-variance", result).splitlines()[1]
+        assert row.startswith("joint-variance,0.59999999999999998,0.33333333333333331,30,")
+
+    def test_csv_row_empty_fields_for_missing(self):
+        row = cli._estimate_csv("gamma-ratio", EstimateResult(gamma_hat=0.5)).splitlines()[1]
+        assert row == "gamma-ratio,0.5,,,"
+
+    def test_header_matches_row_arity(self):
+        header, row = cli._estimate_csv("x", EstimateResult()).split("\n")
+        assert row.count(",") == header.count(",")
+
+
 class TestEstimate:
     def test_known_power_scale_from_two_point_path(self, tmp_path, capsys):
         src = write_csv(tmp_path, "two.csv", "t,y\n0,1\n0.01,1.1\n")
@@ -257,7 +274,7 @@ class TestEstimate:
             "estimate", "--in", str(src), "--method", "sigma-known-gamma", "--gamma", "1"
         ) == 0
         out_lines = capsys.readouterr().out.strip().splitlines()
-        assert out_lines[0] == EstimateResult.CSV_HEADER
+        assert out_lines[0] == "method,gamma_hat,sigma_hat,grid_n,objective_min"
         fields = out_lines[1].split(",")
         assert fields[0] == "sigma-known-gamma"
         assert float(fields[2]) == pytest.approx(0.997513451195927, rel=1e-13, abs=0)

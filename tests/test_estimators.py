@@ -554,12 +554,12 @@ def test_sigma_known_gamma_without_overflow_is_the_plain_quotient(values, gamma)
 positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
-def _sigma_outcome(call):
+def _outcome(call):
+    """The call's result, or the message of the DegeneratePathError it raises."""
     try:
-        result = call()
+        return call()
     except DegeneratePathError as exc:
         return str(exc)
-    return result.sigma_hat, result.degenerate
 
 
 @settings(max_examples=300, deadline=None)
@@ -574,12 +574,12 @@ def _sigma_outcome(call):
 )
 def test_integrated_method_is_sigma_known_gamma_at_h_gamma(values, delta, gamma):
     path = make_path(values, delta=delta)
-    outcome = _sigma_outcome(lambda: EstimatorSpec("integrated-sigma-sq", gamma=gamma).result(path))
-    assert outcome == _sigma_outcome(lambda: sigma_known_gamma(path, gamma=gamma))
-    if isinstance(outcome, tuple) and not outcome[1]:
+    outcome = _outcome(lambda: EstimatorSpec("integrated-sigma-sq", gamma=gamma).result(path))
+    assert outcome == _outcome(lambda: sigma_known_gamma(path, gamma=gamma))
+    if isinstance(outcome, EstimateResult) and not outcome.degenerate:
         # the integral over the window, as the method's own sum
         window = path.delta * (len(values) - 1)
-        assert outcome[0] == math.sqrt(integrated_sigma_sq(path, gamma=gamma) / window)
+        assert outcome.sigma_hat == math.sqrt(integrated_sigma_sq(path, gamma=gamma) / window)
 
 
 class TestIntegratedSigmaSq:
@@ -612,7 +612,31 @@ class TestIntegratedSigmaSq:
         assert abs(total - 7.0 / 75.0) < band
 
 
+# a back-out makes at most 449 calls of cir_variance (400 scan points, up to 49 bisection steps)
+_VARIANCE_CALL_BUDGET = 2000
+
+
+def install_variance(monkeypatch, variance):
+    """Make ``variance`` the estimators' cir_variance, failing the test at the first call beyond the budget.
+
+    A bisection that does not end fails here in seconds, not at a suite timeout.
+    """
+    calls = iter(range(_VARIANCE_CALL_BUDGET))
+
+    def budgeted(*args):
+        if next(calls, None) is None:
+            raise AssertionError(f"cir_variance called more than {_VARIANCE_CALL_BUDGET} times")
+        return variance(*args)
+
+    monkeypatch.setattr(pathvol.estimators, "cir_variance", budgeted)
+
+
 class TestCirMoments:
+    @pytest.fixture(autouse=True)
+    def variance_call_budget(self, monkeypatch):
+        # the closed form behind the budget; a test that installs a stand-in replaces it
+        install_variance(monkeypatch, cir_variance)
+
     def test_mean_fixed_point(self):
         # starting at the reversion level keeps the mean there
         assert cir_mean(a=1.0, b=1.0, y0=1.0, horizon=1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
@@ -676,7 +700,7 @@ class TestCirMoments:
     def test_root_on_a_scan_point_is_returned_exactly(self, monkeypatch):
         # residual a - a_star, zero on a scan point: the scan returns that point, not the double below it
         a_star = np.geomspace(*pathvol.estimators._A_BRACKET, pathvol.estimators._SCAN_POINTS).tolist()[200]
-        monkeypatch.setattr(pathvol.estimators, "cir_variance", lambda a, b, sigma, y0, horizon: a)
+        install_variance(monkeypatch, lambda a, b, sigma, y0, horizon: a)
         a_hat, _ = cir_backout(mean_t=1.0, var_t=a_star, sigma=1.0, y0=1.0, horizon=1.0)
         assert a_hat == a_star
 
@@ -687,7 +711,7 @@ class TestCirMoments:
         scan = np.geomspace(*pathvol.estimators._A_BRACKET, pathvol.estimators._SCAN_POINTS).tolist()
         a_star = 0.5 * (scan[200] + scan[201])
         variance = (lambda a: 2.0 * a_star - a) if falling else (lambda a: a)
-        monkeypatch.setattr(pathvol.estimators, "cir_variance", lambda a, b, sigma, y0, horizon: variance(a))
+        install_variance(monkeypatch, lambda a, b, sigma, y0, horizon: variance(a))
         a_hat, _ = cir_backout(mean_t=1.0, var_t=a_star, sigma=1.0, y0=1.0, horizon=1.0)
         assert a_hat == a_star
 
@@ -700,7 +724,7 @@ class TestCirMoments:
         for _ in range(ulps):
             a_star = math.nextafter(a_star, math.inf)
         step = lambda a, b, sigma, y0, horizon: 1.0 + math.copysign(0.5, a - a_star)
-        monkeypatch.setattr(pathvol.estimators, "cir_variance", step)
+        install_variance(monkeypatch, step)
         a_hat, _ = cir_backout(mean_t=1.0, var_t=1.0, sigma=1.0, y0=1.0, horizon=1.0)
         assert a_hat == math.nextafter(a_star, 0.0)
 
@@ -712,19 +736,6 @@ class TestCirMoments:
 
 
 class TestEstimateResult:
-    def test_csv_row_full_precision(self):
-        result = EstimateResult(method="joint-variance", gamma_hat=0.6, sigma_hat=1 / 3, grid=np.arange(1, 31) / 30)
-        row = result.to_csv_row()
-        assert row.startswith("joint-variance,0.59999999999999998,0.33333333333333331,30,")
-
-    def test_csv_row_empty_fields_for_missing(self):
-        result = EstimateResult(method="gamma-ratio", gamma_hat=0.5)
-        assert result.to_csv_row() == "gamma-ratio,0.5,,,"
-
-    def test_header_matches_row_arity(self):
-        row = EstimateResult(method="x").to_csv_row()
-        assert row.count(",") == EstimateResult.CSV_HEADER.count(",")
-
     def test_search_arrays_are_read_only(self):
         result = joint_estimate(simulated_path(n=300, seed=9))
         for array in (result.grid, result.objective):

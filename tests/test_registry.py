@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_positive_path
 import pathvol
 from pathvol import estimators, experiment
-from pathvol.cli import main
+from pathvol.cli import _estimate_csv, main
 from pathvol.estimators import (
     METHOD_GAMMA_KNOWN_SIGMA,
     METHOD_GAMMA_RATIO,
@@ -86,8 +86,9 @@ ALIASES = {"joint": METHOD_JOINT_VARIANCE, "integrated": METHOD_INTEGRATED_SIGMA
 @pytest.mark.parametrize("name, flags, params", CLI_CASES)
 def test_cli_prints_the_registry_result(path_csv, path, capsys, name, flags, params):
     assert main(["estimate", "--in", str(path_csv), "--method", name, *flags]) == 0
-    expected = EstimatorSpec(ALIASES.get(name, name), **params).result(path)
-    assert capsys.readouterr().out == f"{EstimateResult.CSV_HEADER}\n{expected.to_csv_row()}\n"
+    method = ALIASES.get(name, name)
+    expected = EstimatorSpec(method, **params).result(path)
+    assert capsys.readouterr().out == f"{_estimate_csv(method, expected)}\n"
 
 
 def _direct_integrated(path):
@@ -220,6 +221,18 @@ class TestCheckParams:
             (METHOD_JOINT_VARIANCE, {"search_range": (0.2, 0.5, 1.0)}, "search_range"),
             # and integrated-sigma-sq takes none: "takes no search_range parameter"
             (METHOD_INTEGRATED_SIGMA_SQ, {"gamma": 0.5, "search_range": (0.5,)}, "search_range"),
+        ],
+        # explicit ids, the names these cases already had: rewording a message renames no test
+        ids=[
+            "maximum-likelihood-params0-unknown estimator method",
+            "integrated-sigma-sq-params1-needs its gamma",
+            "gamma-ratio-params2-h1 and h2 must differ",
+            "gamma-known-sigma-params3-needs its sigma",
+            "joint-variance-params4-search_range",
+            "sigma-known-gamma-params5-gamma must lie",
+            "joint-variance-params6-takes no sigma",
+            "joint-variance-params7-search_range",
+            "integrated-sigma-sq-params8-search_range",
         ],
     )
     def test_rejects_bad_parameters(self, method, params, match):
