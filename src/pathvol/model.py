@@ -2,12 +2,13 @@
 
 The processes handled by this package solve
 
-    dy(t) = f(y(.), t) dt + sigma * y(t)**gamma dw(t),    y(theta) > 0,
+    dy(t) = f(y(.), t) dt + sigma * y(t)**gamma dw(t),    y(0) > 0,
 
-with gamma in [0, 1].  Two drift families are provided: the affine
-mean-reverting drift a*(b - y) shared by the CIR (gamma = 1/2) and CKLS
-models, and a randomized multi-term drift with a fixed delay that is used
-to stress-test the estimators on paths far from any parametric family.
+with gamma in [0, 1], observed at t_k = k * delta.  Two drift families are
+provided: the affine mean-reverting drift a*(b - y) shared by the CIR
+(gamma = 1/2) and CKLS models, and a randomized multi-term drift with a
+fixed delay that is used to stress-test the estimators on paths far from
+any parametric family.
 """
 from __future__ import annotations
 

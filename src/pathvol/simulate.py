@@ -19,6 +19,8 @@ loop compiled once per drift shape (affine, or n delay terms) with
 ``model.drift_source`` inline: the drift's terms added left to right in the
 order ``model.DelayDriftSpec`` writes them, so each step computes bit for bit
 what the recursion above gives with that written sum, from the same draws.
+A SamplePath keeps no time origin: every path, simulated or read from CSV,
+lives on t_k = k * delta, as the estimators read only its values and delta.
 """
 from __future__ import annotations
 
@@ -66,9 +68,8 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Observed path y(t_k), k = 0..m, on the grid t_k = theta + k * delta."""
+    """Observed path y(t_k), k = 0..m, on the grid t_k = k * delta (no time origin is kept)."""
 
-    theta: float
     delta: float
     values: np.ndarray
     positivity_fixes: int = 0
@@ -76,8 +77,6 @@ class SamplePath:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and > 0")
         if vals.ndim != 1 or vals.size < 2:
@@ -98,7 +97,7 @@ class SamplePath:
 
     @property
     def times(self) -> np.ndarray:
-        return self.theta + np.arange(len(self.values)) * self.delta
+        return np.arange(len(self.values)) * self.delta
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,7 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
         noise, delayed, values, delta, float(model.sigma), float(model.gamma),
         math.sqrt(delta), threshold, *drift_constants(model.drift),
     )
-    return SamplePath(
-        theta=0.0,
-        delta=delta,
-        values=np.fromiter(values, float, len(values)),
-        positivity_fixes=fixes,
-    )
+    return SamplePath(delta=delta, values=np.fromiter(values, float, len(values)), positivity_fixes=fixes)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,8 @@ def read_path_csv(src: str | Path) -> SamplePath:
     Blank lines are skipped; the file must be ASCII.  Each field is read as
     float() reads it, so the values are bit for bit those written.  The grid
     must be uniform and the values positive; delta is the span of the time
-    column over its m steps.  Raises CsvFormatError naming the first
+    column over its m steps.  The first time is not kept: the path lives on
+    t_k = k * delta like any other.  Raises CsvFormatError naming the first
     offending line.
     """
     text = _read_text(src)
@@ -303,4 +298,4 @@ def read_path_csv(src: str | Path) -> SamplePath:
     if span == math.inf:
         raise CsvFormatError(f"line {_data_line(text.splitlines(), n - 1)}: time span is not finite")
     # the span carries the rounding of two written times, not of two per step
-    return SamplePath(theta=float(times[0]), delta=span / (n - 1), values=values)
+    return SamplePath(delta=span / (n - 1), values=values)

@@ -9,9 +9,21 @@ from pathvol.model import AffineDrift, ModelSpec
 from pathvol.simulate import SamplePath
 
 
-def make_path(values, delta: float = 0.01, theta: float = 0.0) -> SamplePath:
+def numpy_kernels_are_libm() -> bool:
+    """Whether numpy's float64 log1p and ** give libm's bits, as where numpy dispatches no AVX-512.
+
+    numpy's AVX-512 kernels round about one result in twenty differently from
+    libm, and the estimators call both, so an estimate's last digit can depend
+    on the host: a bit-for-bit pin of an estimate holds one value per kind.
+    """
+    x = np.random.default_rng(0).uniform(0.01, 10.0, 1000)
+    xs = x.tolist()
+    return np.log1p(x).tolist() == list(map(math.log1p, xs)) and (x**0.4).tolist() == [v**0.4 for v in xs]
+
+
+def make_path(values, delta: float = 0.01) -> SamplePath:
     """SamplePath from raw values on a uniform grid."""
-    return SamplePath(theta=theta, delta=delta, values=np.asarray(values, dtype=float))
+    return SamplePath(delta=delta, values=np.asarray(values, dtype=float))
 
 
 def random_positive_path(rng: np.random.Generator, length: int, delta: float = 0.01) -> SamplePath:

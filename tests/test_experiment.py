@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_kernels_are_libm
 from pathvol.estimators import (
     METHOD_GAMMA_RATIO,
     METHOD_JOINT_VARIANCE,
@@ -257,6 +258,15 @@ _PINNED_STATS = {
         ("delta=1/250", "0.01772910387773009", "0.015185050054723714", "0.0031765832472859246", 5, 0),
     ),
 }
+# the pins where numpy's log1p and ** give libm's bits (no AVX-512 dispatch): one t1a row ends in other digits
+_PINNED_STATS_LIBM = {
+    **_PINNED_STATS,
+    ("t1a", 52): (
+        _PINNED_STATS["t1a", 52][0],
+        ("gamma=0.4 h=0.5", "0.029225312911553315", "0.027006969308904626", "0.01752593822720836", 5, 0),
+        *_PINNED_STATS["t1a", 52][2:],
+    ),
+}
 
 
 class TestTables:
@@ -313,14 +323,15 @@ class TestTables:
 
     @pytest.mark.parametrize("table_id, n_steps", list(_PINNED_STATS))
     def test_five_trial_stats_are_pinned(self, table_id, n_steps):
-        # the per-trial streams, simulator and estimators, bit for bit: reprs recorded at seed 0
+        # the per-trial streams, simulator and estimators, bit for bit: reprs recorded at seed 0 for each kind of kernel
+        pins = _PINNED_STATS_LIBM if numpy_kernels_are_libm() else _PINNED_STATS
         report = reproduce_table(table_id, trials=5, master_seed=0, n_steps_filter=(n_steps,))
         got = [
             (row.row_id, repr(row.stats.rmse), repr(row.stats.mae), repr(row.stats.bias),
              row.stats.n_effective, row.stats.failures)
             for row in report.rows
         ]
-        assert got == list(_PINNED_STATS[table_id, n_steps])
+        assert got == list(pins[table_id, n_steps])
 
     def test_filter_removing_everything_rejected(self):
         with pytest.raises(ValueError, match="filter"):

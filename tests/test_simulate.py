@@ -25,25 +25,25 @@ from pathvol.simulate import (
 
 class TestSamplePath:
     def test_grid_and_stop_index(self):
-        p = SamplePath(theta=0.5, delta=0.1, values=[1.0, 2.0, 3.0])
+        p = SamplePath(delta=0.1, values=[1.0, 2.0, 3.0])
         assert p.m == 2
-        np.testing.assert_allclose(p.times, [0.5, 0.6, 0.7])
+        assert p.times.tolist() == [0.0, 0.1, 0.2]  # t_k = k * delta: a path has no other origin
 
     def test_needs_two_points(self):
         with pytest.raises(DegeneratePathError):
-            SamplePath(theta=0.0, delta=0.1, values=[1.0])
+            SamplePath(delta=0.1, values=[1.0])
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError, match="positive"):
-            SamplePath(theta=0.0, delta=0.1, values=[1.0, 0.0])
+            SamplePath(delta=0.1, values=[1.0, 0.0])
 
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError, match="finite"):
-            SamplePath(theta=0.0, delta=0.1, values=[1.0, float("inf")])
+            SamplePath(delta=0.1, values=[1.0, float("inf")])
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            SamplePath(theta=0.0, delta=0.0, values=[1.0, 2.0])
+            SamplePath(delta=0.0, values=[1.0, 2.0])
 
     @pytest.mark.parametrize(
         "delta, values, error, message",
@@ -64,30 +64,23 @@ class TestSamplePath:
     )
     def test_refusals_in_full(self, delta, values, error, message):
         with pytest.raises(error) as exc:
-            SamplePath(theta=0.0, delta=delta, values=values)
+            SamplePath(delta=delta, values=values)
         assert type(exc.value) is error and str(exc.value) == message
-
-    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_theta_refused(self, theta):
-        # a non-finite start would be written as a time that read_path_csv refuses
-        with pytest.raises(ValueError) as exc:
-            SamplePath(theta=theta, delta=0.1, values=[1.0, 2.0])
-        assert type(exc.value) is ValueError and str(exc.value) == "theta must be finite"
 
     @pytest.mark.parametrize("last, stopped", [(0.001, True), (0.0009, True), (0.0011, False), (2.0, False)])
     def test_stopped_early_is_read_from_the_values(self, last, stopped):
         # a path built by hand reports the stop rule as a simulated one does: last <= 1e-3 * first
-        assert SamplePath(0.0, 1.0, [1.0, 0.5, last]).stopped_early is stopped
-        assert SamplePath(0.0, 1.0, [1.0, last]).stopped_early is stopped
-        assert SamplePath(0.0, 1.0, [1000.0, 1000.0 * last]).stopped_early is stopped
+        assert SamplePath(1.0, [1.0, 0.5, last]).stopped_early is stopped
+        assert SamplePath(1.0, [1.0, last]).stopped_early is stopped
+        assert SamplePath(1.0, [1000.0, 1000.0 * last]).stopped_early is stopped
 
     def test_stopped_early_is_not_a_field(self):
-        assert [f.name for f in dataclasses.fields(SamplePath)] == ["theta", "delta", "values", "positivity_fixes"]
+        assert [f.name for f in dataclasses.fields(SamplePath)] == ["delta", "values", "positivity_fixes"]
         with pytest.raises(TypeError):
-            SamplePath(0.0, 1.0, [1.0, 2.0], stopped_early=True)
+            SamplePath(1.0, [1.0, 2.0], stopped_early=True)
 
     def test_values_become_a_float_array(self):
-        path = SamplePath(theta=0.0, delta=0.5, values=[1, 2, 3])
+        path = SamplePath(delta=0.5, values=[1, 2, 3])
         assert path.values.dtype == np.float64 and path.values.tolist() == [1.0, 2.0, 3.0]
 
 
@@ -144,7 +137,7 @@ class TestRecursion:
         delta = 0.25
         expected = 2.0 + 1.2 * (0.9 - 2.0) * delta + 0.4 * 2.0**0.7 * math.sqrt(delta) * xi[0]
         assert path.values[1] == expected
-        assert (path.theta, path.delta) == (0.0, delta)  # the grid starts at t = 0
+        assert path.delta == delta
 
     def test_noiseless_mean_reversion_monotone(self):
         model = ckls_model(a=1.0, b=1.0, sigma=0.0, gamma=0.5)
@@ -162,9 +155,7 @@ class TestRecursion:
         a = euler_maruyama(model, cfg, np.random.default_rng(42))
         b = euler_maruyama(model, cfg, np.random.default_rng(42))
         assert np.array_equal(a.values, b.values)
-        assert (a.theta, a.delta, a.m, a.stopped_early, a.positivity_fixes) == (
-            b.theta, b.delta, b.m, b.stopped_early, b.positivity_fixes,
-        )
+        assert (a.delta, a.m, a.stopped_early, a.positivity_fixes) == (b.delta, b.m, b.stopped_early, b.positivity_fixes)
 
     def test_generator_is_required(self):
         with pytest.raises(TypeError):
@@ -415,6 +406,14 @@ def csv_text(csv_file):
     return text
 
 
+def _text_at(origin: float, path: SamplePath) -> str:
+    """The CSV text of ``path`` as write_path_csv formats it, with its times moved to start at ``origin``.
+
+    The reader keeps no origin, so a file whose times start elsewhere is built from its times here.
+    """
+    return "t,y\n" + "".join(f"{t:.17g},{y:.17g}\n" for t, y in zip(origin + path.times, path.values))
+
+
 class TestCsv:
     def test_round_trip_is_bit_exact(self, read_csv, csv_text):
         rng = np.random.default_rng(17)
@@ -422,7 +421,6 @@ class TestCsv:
         back = read_csv(csv_text(path))
         assert np.array_equal(back.values, path.values)
         assert back.delta == pytest.approx(path.delta, rel=1e-12, abs=0)
-        assert back.theta == path.theta
 
     def test_round_trip_extreme_magnitudes(self, read_csv, csv_text):
         path = make_path([1e-8, 2.5e-8, 1e8, 3.0], delta=0.5)
@@ -438,20 +436,28 @@ class TestCsv:
         rows = [f"{t:.17g},{y:.17g}" for t, y in zip(path.times, path.values)]
         assert csv_text(path) == "\n".join(["t,y", *rows]) + "\n"
 
-    def test_round_trip_far_from_zero_is_bit_exact(self, read_csv, csv_text):
+    def test_round_trip_far_from_zero_is_bit_exact(self, read_csv):
         # at |t| ~ 1e7 one ulp of t is 1.9e-9: the written times are off the grid by that much
-        values = random_positive_path(np.random.default_rng(29), 500).values
-        path = make_path(values, delta=1e-3, theta=1e7)
-        text = csv_text(path)
+        path = make_path(random_positive_path(np.random.default_rng(29), 500).values, delta=1e-3)
+        text = _text_at(1e7, path)
         back = read_csv(text)
-        assert np.array_equal(back.values, path.values) and back.theta == path.theta
+        assert np.array_equal(back.values, path.values)
         # the step is the span over m steps: the two rounded end times put it off by under one ulp of t over m
-        assert abs(back.delta - path.delta) <= np.spacing(path.times[-1]) / path.m
+        assert abs(back.delta - path.delta) <= np.spacing(1e7 + path.times[-1]) / path.m
         assert _outcome(read_csv, text) == _outcome(_reference_read, text)
 
-    def test_off_grid_row_far_from_zero_is_refused(self, read_csv, csv_text):
+    def test_origin_is_not_kept(self, read_csv):
+        # the same values written at three origins read back alike, each on t_k = k * delta
+        path = make_path(random_positive_path(np.random.default_rng(29), 500).values, delta=1e-3)
+        for origin in (0.0, 1e7, -3.5):
+            back = read_csv(_text_at(origin, path))
+            assert back.values.tobytes() == path.values.tobytes()
+            # within the bound of test_round_trip_far_from_zero_is_bit_exact, at this origin's last time
+            assert abs(back.delta - path.delta) <= np.spacing(abs(origin + path.times[-1])) / path.m
+
+    def test_off_grid_row_far_from_zero_is_refused(self, read_csv):
         values = random_positive_path(np.random.default_rng(29), 500).values
-        lines = csv_text(make_path(values, delta=1e-3, theta=1e7)).splitlines()
+        lines = _text_at(1e7, make_path(values, delta=1e-3)).splitlines()
         t, y = lines[100].split(",")
         lines[100] = f"{float(t) + 0.5e-3!r},{y}"  # half a step late
         text = "\n".join(lines) + "\n"
@@ -466,13 +472,13 @@ class TestCsv:
             return f"t,y\n0,1\n1000,2\n{2000 + jitter!r},3\n3000,4\n"
 
         back = read_csv(text(5e-7))
-        assert (back.theta, back.delta) == (0.0, 1000.0)
+        assert back.delta == 1000.0
         with pytest.raises(CsvFormatError) as exc:
             read_csv(text(2e-6))
         assert str(exc.value) == "line 4: time grid is not uniform"
 
     @pytest.mark.parametrize(
-        "theta, step, jitter, refusal",
+        "origin, step, jitter, refusal",
         [
             # 1e-9 of a unit step
             (0.0, 1.0, 5e-10, None),
@@ -487,9 +493,9 @@ class TestCsv:
             (2.0**23, 1 / 1024, 2.0**-27, None),
         ],
     )
-    def test_grid_tolerance_edges(self, theta, step, jitter, refusal, read_csv):
+    def test_grid_tolerance_edges(self, origin, step, jitter, refusal, read_csv):
         # literal outcomes just inside and just outside each term of the tolerance
-        times = [theta + k * step for k in range(4)]
+        times = [origin + k * step for k in range(4)]
         times[2] += jitter
         text = "t,y\n" + "".join(f"{t!r},{k + 1}\n" for k, t in enumerate(times))
         if refusal is None:
@@ -587,7 +593,7 @@ class TestCsv:
     def test_crlf_line_endings_accepted(self, read_csv):
         back = read_csv("t,y\r\n0,1\r\n0.5,2\r\n\r\n1,3\r\n")
         assert back.values.tolist() == [1.0, 2.0, 3.0]
-        assert (back.theta, back.delta) == (0.0, 0.5)
+        assert back.delta == 0.5
 
     def test_whitespace_only_interior_line_skipped(self, read_csv):
         back = read_csv("t,y\n0,1\n \t \n0.5,2\n")
@@ -599,7 +605,7 @@ class TestCsv:
     def test_fields_parse_as_float_parses_them(self, read_csv):
         back = read_csv("t,y\n 0 , 1_0 \n\t0.5,2\t\n1,1e1\n")
         assert back.values.tolist() == [10.0, 2.0, 10.0]
-        assert (back.theta, back.delta) == (0.0, 0.5)
+        assert back.delta == 0.5
 
     def test_row_is_stripped_before_its_fields_are_parsed(self, read_csv):
         # str.strip() drops the unit separator 0x1f, which float() refuses
@@ -670,24 +676,24 @@ def _reference_read(text: str) -> SamplePath:
     for row in range(1, len(times)):
         if not (0 < times[row] - times[row - 1] and abs(times[row] - times[row - 1] - step) <= tol):
             raise CsvFormatError(f"line {data_lines[row]}: time grid is not uniform")
-    return SamplePath(theta=times[0], delta=(times[-1] - times[0]) / (len(times) - 1), values=np.array(values))
+    return SamplePath(delta=(times[-1] - times[0]) / (len(times) - 1), values=np.array(values))
 
 
 def _outcome(reader, text: str):
-    """("path", theta, delta, value bytes) or ("error", message) of reader(text); equal outcomes are bitwise equal."""
+    """("path", delta, value bytes) or ("error", message) of reader(text); equal outcomes are bitwise equal."""
     try:
         path = reader(text)
     except CsvFormatError as exc:
         return ("error", str(exc))
-    return ("path", np.float64(path.theta).tobytes(), np.float64(path.delta).tobytes(), path.values.tobytes())
+    return ("path", np.float64(path.delta).tobytes(), path.values.tobytes())
 
 
 _positive_paths = st.builds(
     make_path,
     st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=40),
     delta=st.floats(1e-6, 10.0),
-    theta=st.floats(-1e9, 1e9),
 )
+_origins = st.floats(-1e9, 1e9)
 
 # each takes the two fields of a data row and gives the row's replacement
 _ROW_MUTATIONS = (
@@ -709,23 +715,24 @@ _ROW_MUTATIONS = (
 
 
 @settings(max_examples=150, deadline=None)
-@given(_positive_paths)
-def test_reader_matches_reference_on_written_paths(read_csv, csv_text, path):
-    text = csv_text(path)
+@given(_positive_paths, _origins)
+def test_reader_matches_reference_on_written_paths(read_csv, path, origin):
+    text = _text_at(origin, path)
     outcome = _outcome(read_csv, text)
     assert outcome == _outcome(_reference_read, text)
-    assert outcome[0] == "path" and outcome[3] == path.values.tobytes()  # every written path reads back
-    step = np.frombuffer(outcome[2])[0]
-    assert abs(step - path.delta) <= 4 * np.spacing(np.abs(path.times).max()) / path.m
+    assert outcome[0] == "path" and outcome[2] == path.values.tobytes()  # every written path reads back
+    step = np.frombuffer(outcome[1])[0]
+    assert abs(step - path.delta) <= 4 * np.spacing(np.abs(origin + path.times).max()) / path.m
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     _positive_paths,
+    _origins,
     st.lists(st.tuples(st.integers(0, 40), st.integers(0, len(_ROW_MUTATIONS) - 1)), min_size=1, max_size=3),
 )
-def test_reader_matches_reference_on_mutated_rows(read_csv, csv_text, path, mutations):
-    lines = csv_text(path).splitlines()
+def test_reader_matches_reference_on_mutated_rows(read_csv, path, origin, mutations):
+    lines = _text_at(origin, path).splitlines()
     for row, kind in mutations:
         lineno = 1 + row % (len(lines) - 1)
         t, y = (lines[lineno].split(",") + ["", ""])[:2]
