@@ -51,9 +51,10 @@ def test_package_reexports_are_their_home_objects():
 
 def test_readme_library_example_prints_its_commented_values(capsys):
     # each print line of the example ends in a comment holding the line it prints
-    code = README.read_text().split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    readme = README.read_text()
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     expected = [line.partition("# ")[2] for line in code.splitlines() if line.startswith("print(")]
-    assert all(f"`{text}`" in README.read_text() for text in _LIBM_PRINTS.values())
+    assert all(f"`{text}`" in readme for text in _LIBM_PRINTS.values())
     if numpy_kernels_are_libm():
         expected = [_LIBM_PRINTS.get(line, line) for line in expected]
     exec(compile(code, str(README), "exec"), {})
