@@ -19,8 +19,7 @@ loop compiled once per drift shape (affine, or n delay terms) with
 ``model.drift_source`` inline: the drift's terms added left to right in the
 order ``model.DelayDriftSpec`` writes them, so each step computes bit for bit
 what the recursion above gives with that written sum, from the same draws.
-A SamplePath keeps no time origin: every path, simulated or read from CSV,
-lives on t_k = k * delta, as the estimators read only its values and delta.
+A path keeps no time origin: simulated or read, it lives on t_k = k * delta.
 """
 from __future__ import annotations
 
@@ -179,7 +178,11 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
         noise, delayed, values, delta, float(model.sigma), float(model.gamma),
         math.sqrt(delta), threshold, *drift_constants(model.drift),
     )
-    return SamplePath(delta=delta, values=np.fromiter(values, float, len(values)), positivity_fixes=fixes)
+    return SamplePath(
+        delta=delta,
+        values=np.fromiter(values, float, len(values)),
+        positivity_fixes=fixes,
+    )
 
 
 # ---------------------------------------------------------------------------
