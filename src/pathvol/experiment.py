@@ -193,38 +193,33 @@ _JOINT_SIGMA = EstimatorSpec(
 )
 
 
-def _row(label, n_steps, gamma, y0_range, estimator, ref):
-    """A table row, its SimConfig built once at import rather than on every call."""
-    return label, SimConfig(n_steps=n_steps, y0_range=y0_range), gamma, estimator, ref
-
-
-# table id -> rows _row(label, n_steps, simulated gamma, y0 range, estimator, reference
-# (rmse, mae, bias)); every row simulates sigma = _BENCH_SIGMA
+# table id -> rows (label, n_steps, simulated gamma, y0 range, estimator, reference
+# (rmse, mae, bias)); every row simulates sigma = _BENCH_SIGMA, its SimConfig built when it runs
 _TABLES = {
     "t1a": (
-        _row("gamma=0.5 h=0.5", 52, 0.5, _LOW_Y0, _SIGMA_AT_HALF, (0.0312, 0.0248, 0.0034)),
-        _row("gamma=0.4 h=0.5", 52, 0.4, _LOW_Y0, _SIGMA_AT_HALF, (0.0458, 0.0365, 0.0281)),
-        _row("gamma=0.6 h=0.5", 52, 0.6, _LOW_Y0, _SIGMA_AT_HALF, (0.0358, 0.0290, -0.0183)),
-        _row("gamma=0.7 h=0.5", 52, 0.7, _LOW_Y0, _SIGMA_AT_HALF, (0.0495, 0.0413, -0.0370)),
+        ("gamma=0.5 h=0.5", 52, 0.5, _LOW_Y0, _SIGMA_AT_HALF, (0.0312, 0.0248, 0.0034)),
+        ("gamma=0.4 h=0.5", 52, 0.4, _LOW_Y0, _SIGMA_AT_HALF, (0.0458, 0.0365, 0.0281)),
+        ("gamma=0.6 h=0.5", 52, 0.6, _LOW_Y0, _SIGMA_AT_HALF, (0.0358, 0.0290, -0.0183)),
+        ("gamma=0.7 h=0.5", 52, 0.7, _LOW_Y0, _SIGMA_AT_HALF, (0.0495, 0.0413, -0.0370)),
     ),
     "t1b": (
-        _row("gamma=0.5 h=0.5", 250, 0.5, _LOW_Y0, _SIGMA_AT_HALF, (0.0136, 0.0109, 0.0006)),
-        _row("gamma=0.4 h=0.5", 250, 0.4, _LOW_Y0, _SIGMA_AT_HALF, (0.0328, 0.0272, 0.0259)),
-        _row("gamma=0.6 h=0.5", 250, 0.6, _LOW_Y0, _SIGMA_AT_HALF, (0.0269, 0.0227, -0.0215)),
-        _row("gamma=0.7 h=0.5", 250, 0.7, _LOW_Y0, _SIGMA_AT_HALF, (0.0468, 0.0416, -0.0414)),
+        ("gamma=0.5 h=0.5", 250, 0.5, _LOW_Y0, _SIGMA_AT_HALF, (0.0136, 0.0109, 0.0006)),
+        ("gamma=0.4 h=0.5", 250, 0.4, _LOW_Y0, _SIGMA_AT_HALF, (0.0328, 0.0272, 0.0259)),
+        ("gamma=0.6 h=0.5", 250, 0.6, _LOW_Y0, _SIGMA_AT_HALF, (0.0269, 0.0227, -0.0215)),
+        ("gamma=0.7 h=0.5", 250, 0.7, _LOW_Y0, _SIGMA_AT_HALF, (0.0468, 0.0416, -0.0414)),
     ),
     "t2": (
-        _row("delta=1/250 gamma-ratio", 250, 0.6, _WIDE_Y0, _RATIO, (0.2078, 0.1736, 0.1078)),
-        _row("delta=1/250 joint-variance", 250, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.2304, 0.1946, 0.1166)),
-        _row("delta=1/10000 gamma-ratio", 10000, 0.6, _WIDE_Y0, _RATIO, (0.0309, 0.0182, 0.0039)),
-        _row("delta=1/10000 joint-variance", 10000, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.0356, 0.0221, 0.0042)),
-        _row("delta=1/20000 gamma-ratio", 20000, 0.6, _WIDE_Y0, _RATIO, (0.0222, 0.0109, 0.0020)),
-        _row("delta=1/20000 joint-variance", 20000, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.0483, 0.0294, 0.0004)),
+        ("delta=1/250 gamma-ratio", 250, 0.6, _WIDE_Y0, _RATIO, (0.2078, 0.1736, 0.1078)),
+        ("delta=1/250 joint-variance", 250, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.2304, 0.1946, 0.1166)),
+        ("delta=1/10000 gamma-ratio", 10000, 0.6, _WIDE_Y0, _RATIO, (0.0309, 0.0182, 0.0039)),
+        ("delta=1/10000 joint-variance", 10000, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.0356, 0.0221, 0.0042)),
+        ("delta=1/20000 gamma-ratio", 20000, 0.6, _WIDE_Y0, _RATIO, (0.0222, 0.0109, 0.0020)),
+        ("delta=1/20000 joint-variance", 20000, 0.6, _WIDE_Y0, _JOINT_GAMMA, (0.0483, 0.0294, 0.0004)),
     ),
     "t3": (
-        _row("delta=1/250", 250, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0515, 0.0264, 0.0092)),
-        _row("delta=1/10000", 10000, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0063, 0.0038, 0.0001)),
-        _row("delta=1/20000", 20000, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0168, 0.0108, 0.00003)),
+        ("delta=1/250", 250, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0515, 0.0264, 0.0092)),
+        ("delta=1/10000", 10000, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0063, 0.0038, 0.0001)),
+        ("delta=1/20000", 20000, 0.6, _LOW_Y0, _JOINT_SIGMA, (0.0168, 0.0108, 0.00003)),
     ),
 }
 
@@ -294,9 +289,10 @@ def reproduce_table(
     if table_id not in _TABLES:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
     rows: list[TableRow] = []
-    for index, (label, sim, gamma, estimator, ref) in enumerate(_TABLES[table_id]):
-        if n_steps_filter is not None and sim.n_steps not in n_steps_filter:
+    for index, (label, n_steps, gamma, y0_range, estimator, ref) in enumerate(_TABLES[table_id]):
+        if n_steps_filter is not None and n_steps not in n_steps_filter:
             continue
+        sim = SimConfig(n_steps=n_steps, y0_range=y0_range)
         cfg = ExperimentConfig(
             trials=trials, sim=sim, gamma=gamma, estimator=estimator, master_seed=(master_seed, index)
         )

@@ -61,7 +61,7 @@ class DelayDriftSpec:
                 + 0.1 * a_hat[k] * (b_hat[k] - x_lag ** (nu_hat[k] + 1/2)) ]
 
     ``delay`` is the lag in time units; the simulator converts it into the
-    whole number of grid steps floor(delay / delta) (see ``simulate.SimConfig``).
+    whole number of grid steps min(floor(delay / delta), n_steps) (see ``simulate.SimConfig``).
     """
 
     a: tuple[float, ...]

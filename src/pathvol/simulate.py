@@ -6,19 +6,19 @@ Paths are generated by the explicit recursion
                  + sigma * y(t_k)**gamma * sqrt(delta) * xi_{k+1}
 
 with iid standard normal xi, t_0 = 0, delta = 1 / n_steps on [0, 1] and the
-whole-step lag l = floor(delay / delta) of the drift's delay.  The generator
-the caller passes is the path's only source of randomness: it draws the
-starting value y0 when the config leaves it unset, then the xi.  Two guards
-keep the path usable by the estimators: any nonpositive produced value is
-replaced by the previous value (counted in ``positivity_fixes``), and the
+whole-step lag l = min(floor(delay / delta), n_steps) of the drift's delay.
+The generator the caller passes is the path's only source of randomness: it
+draws the starting value y0 when the config leaves it unset, then the xi.  Two
+guards keep the path usable by the estimators: any nonpositive produced value
+is replaced by the previous value (counted in ``positivity_fixes``), and the
 simulation stops early the first time the retained value falls to the fixed
-share ``_STOP_RATIO`` = 1e-3 of y0.  The history before the start is held
-at the starting value: step k reads y(t_{k-l}) from one iterator that yields
-y0 l times and then the growing path.  The steps run on Python floats in a
-loop compiled once per drift shape (affine, or n delay terms) with
-``model.drift_source`` inline: the drift's terms added left to right in the
-order ``model.DelayDriftSpec`` writes them, so each step computes bit for bit
-what the recursion above gives with that written sum, from the same draws.
+share ``_STOP_RATIO`` = 1e-3 of y0.  The history before the start is held at
+the starting value: step k reads y(t_{k-l}) from one iterator that yields y0 l
+times and then the growing path.  The steps run on Python floats in one loop,
+compiled once per drift shape (affine, which ignores the delayed state, or n
+delay terms) with ``model.drift_source`` inline: the drift's terms added left
+to right in the order ``model.DelayDriftSpec`` writes them, so each step is
+bit for bit the recursion above with that written sum, from the same draws.
 A path keeps no time origin: simulated or read, it lives on t_k = k * delta.
 """
 from __future__ import annotations
@@ -104,7 +104,7 @@ class SimConfig:
     """Grid and starting value for one simulation.
 
     The path runs on [0, 1] in n_steps steps of delta = 1 / n_steps;
-    a drift delay becomes the lag of floor(delay / delta) whole steps.
+    a drift delay becomes the lag of floor(delay / delta) whole steps, at most n_steps.
     y0 = None means the starting value is drawn uniformly from
     y0_range (default [0.1, 10]) with the generator passed to euler_maruyama.
     The benchmark reproductions narrow y0_range per table; see the
@@ -127,12 +127,12 @@ class SimConfig:
         return 1.0 / self.n_steps
 
 
-# Euler steps on Python floats; {items} binds xi (and x_lagged for a delay drift).
+# Euler steps on Python floats; the affine drift's source never reads x_lagged.
 _LOOP = """\
 def steps(noise, delayed, values, delta, sigma, gamma, sqrt_delta, threshold, {names}):
     x = values[0]
     fixes = 0
-    for {items}:
+    for xi, x_lagged in zip(noise, delayed):
         nxt = x + ({drift}) * delta + sigma * x**gamma * sqrt_delta * xi
         if nxt <= 0.0:
             nxt = x
@@ -149,12 +149,11 @@ def steps(noise, delayed, values, delta, sigma, gamma, sqrt_delta, threshold, {n
 def _step_loop(n_terms: int) -> Callable[..., int]:
     """The Euler loop for drifts of n_terms delay terms (0: affine), compiled once.
 
-    A delay drift zips the noise with ``delayed``, the delayed state of each
-    step in order; the affine drift iterates the noise alone.
+    Every drift zips the noise with ``delayed``, the delayed state of each
+    step in order; the affine drift's expression ignores ``x_lagged``.
     """
     names, drift = drift_source(n_terms)
-    items = "xi, x_lagged in zip(noise, delayed)" if n_terms else "xi in noise"
-    exec(_LOOP.format(names=names, items=items, drift=drift), namespace := {"cos": math.cos})
+    exec(_LOOP.format(names=names, drift=drift), namespace := {"cos": math.cos})
     return namespace["steps"]
 
 
@@ -165,19 +164,23 @@ def euler_maruyama(model: ModelSpec, cfg: SimConfig, rng: np.random.Generator) -
     ``rng.uniform(*cfg.y0_range)`` (only when cfg.y0 is None) and then
     n_steps standard normals, so results do not depend on whether the path
     stops early.  The step arithmetic, on Python floats, is that of the
-    recursion in the module docstring with the drift's written sum.
+    recursion in the module docstring with the drift's written sum; a drift
+    that overflows raises SamplePath's ValueError for a non-finite path.
     """
     y0 = float(cfg.y0 if cfg.y0 is not None else rng.uniform(*cfg.y0_range))
     delta = cfg.delta
     threshold = _STOP_RATIO * y0
     noise = memoryview(rng.standard_normal(cfg.n_steps))  # yields Python floats
     values = [y0]
-    # the delayed state of step k: y0 while k < lag, then values[k - lag]
-    delayed = chain(repeat(y0, math.floor(model.drift.delay / delta)), values)
-    fixes = _step_loop(model.drift.n_terms)(
-        noise, delayed, values, delta, float(model.sigma), float(model.gamma),
-        math.sqrt(delta), threshold, *drift_constants(model.drift),
-    )
+    # step k's delayed state: y0 while k < lag, then values[k - lag]; a lag over n_steps (inf too) acts as n_steps
+    delayed = chain(repeat(y0, math.floor(min(model.drift.delay / delta, cfg.n_steps))), values)
+    try:
+        fixes = _step_loop(model.drift.n_terms)(
+            noise, delayed, values, delta, float(model.sigma), float(model.gamma),
+            math.sqrt(delta), threshold, *drift_constants(model.drift),
+        )
+    except (OverflowError, ValueError):  # x**p past the float range, or cos of an inf state
+        raise ValueError("path values must be finite") from None
     return SamplePath(
         delta=delta,
         values=np.fromiter(values, float, len(values)),

@@ -22,7 +22,7 @@ from pathvol.estimators import (
     EstimatorSpec,
 )
 from pathvol.experiment import TABLE_IDS
-from pathvol.model import ModelSpec, ckls_model, format_model_config, sample_delay_drift
+from pathvol.model import DelayDriftSpec, ModelSpec, ckls_model, format_model_config, sample_delay_drift
 from pathvol.simulate import DegeneratePathError, read_path_csv
 
 
@@ -201,6 +201,27 @@ class TestSimulate:
         assert "parameter vector 'a' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "delay, nu, code",
+        [
+            (1e17, 0.0, 0),  # the lag floor(delay / delta) passes 2**63
+            (1e300, 0.0, 0),
+            (1e308, 0.0, 0),  # delay / delta is inf
+            (0.0, 1000.0, 1),  # x**1000.5 overflows at the second step
+        ],
+    )
+    def test_drift_the_model_accepts_prints_one_line(self, tmp_path, capsys, delay, nu, code):
+        # a --config of model=random-delay: one stderr line, the path's or the error's, and no traceback
+        drift = DelayDriftSpec(
+            a=(-1.0,), b=(0.0,), nu=(nu,), c=(0.0,), d=(0.0,), e=(0.0,),
+            a_hat=(1.0,), b_hat=(1.0,), nu_hat=(0.0,), delay=delay,
+        )
+        cfg = write_csv(tmp_path, "model.cfg", format_model_config(ModelSpec(drift, 0.3, 0.6)))
+        out = tmp_path / "path.csv"
+        assert run_cli("simulate", "--config", str(cfg), "--y0", "2", "--n", "100", "--out", str(out)) == code
+        err = "error: path values must be finite\n" if code else "stopped_early=False m=100 positivity_fixes=0\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--config", str(tmp_path / "nope.cfg"), "--y0", "1", "--n", "10",
@@ -296,12 +317,18 @@ class TestEstimate:
         assert abs(sigma_hat - 0.3) < 0.05
         # each grid search's curve file: a header, then every (candidate, objective) pair bit for bit
         path = read_path_csv(src)
-        for method, known, rows in [
-            (METHOD_GAMMA_RATIO, {}, 300),
-            (METHOD_JOINT_VARIANCE, {}, 30),
-            (METHOD_GAMMA_KNOWN_SIGMA, {"sigma": 0.3}, 30),
+        for method, flags, known, rows in [
+            (METHOD_GAMMA_RATIO, [], {}, 300),
+            (METHOD_JOINT_VARIANCE, [], {}, 30),
+            (METHOD_GAMMA_KNOWN_SIGMA, ["--sigma", "0.3"], {"sigma": 0.3}, 30),
+            # the t2 ratio spec: --search-range takes two values, which reach the spec as a list it holds as a tuple
+            (
+                METHOD_GAMMA_RATIO,
+                ["--h1", "0.25", "--h2", "0.75", "--search-range", "0.5", "1"],
+                {"h1": 0.25, "h2": 0.75, "search_range": (0.5, 1.0)},
+                300,
+            ),
         ]:
-            flags = [f"--{name}={value}" for name, value in known.items()]
             assert run_cli("estimate", "--in", str(src), "--method", method, *flags, "--curve", str(curve)) == 0
             header, *lines = curve.read_text().splitlines()
             assert header == "h,objective" and len(lines) == rows

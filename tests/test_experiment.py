@@ -310,16 +310,22 @@ class TestTables:
         assert later.rows == reproduce_table("t3", trials=1, n_steps_filter=(250, 10000)).rows[1:]
 
     def test_filter_builds_configs_only_for_kept_rows(self, monkeypatch):
-        built = []
+        built, sims = [], []
 
         def counting(*args, **kwargs):
             built.append(kwargs["sim"].n_steps)
             return ExperimentConfig(*args, **kwargs)
 
+        def counting_sims(*args, **kwargs):
+            sims.append(kwargs["n_steps"])
+            return SimConfig(*args, **kwargs)
+
         monkeypatch.setattr(experiment, "ExperimentConfig", counting)
+        monkeypatch.setattr(experiment, "SimConfig", counting_sims)  # a row builds its SimConfig when it runs
         monkeypatch.setattr(experiment, "EstimatorSpec", None)  # the table specs exist already
         reproduce_table("t2", trials=1, n_steps_filter=(250,))
         assert built == [250, 250]
+        assert sims == [250, 250]
 
     @pytest.mark.parametrize("table_id, n_steps", list(_PINNED_STATS))
     def test_five_trial_stats_are_pinned(self, table_id, n_steps):

@@ -246,6 +246,33 @@ class TestRecursion:
             expected = expected + 0.1 * 1.0 * (0.0 - 2.0**1.0) * delta
         assert path.values[5] == pytest.approx(expected, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("delay", [1e17, 1e300, 1e308])
+    def test_huge_delay_is_capped_at_the_whole_path(self, delay):
+        # floor(delay / delta) passes 2**63 (delay / delta is inf at 1e308): capped at n_steps, the lag
+        # gives the path of delay 2, whose lag of 2 n_steps already holds y0 throughout
+        drift = sample_delay_drift(np.random.default_rng(4))
+        cfg = SimConfig(n_steps=100, y0=1.0)
+        huge, two, none = (
+            euler_maruyama(ModelSpec(dataclasses.replace(drift, delay=d), 0.3, 0.6), cfg, np.random.default_rng(0))
+            for d in (delay, 2.0, 0.0)
+        )
+        assert np.array_equal(huge.values, two.values)
+        assert not np.array_equal(huge.values, none.values)
+
+    @pytest.mark.parametrize(
+        "a, nu, c",
+        [
+            (-1.0, 1000.0, 0.0),  # x**1000.5 leaves the float range at the second step
+            (-1e308, 0.5, 1.0),  # a*(b - x) overflows to an inf state, whose cosine is a domain error
+        ],
+    )
+    def test_drift_past_the_float_range_raises_the_non_finite_path_error(self, a, nu, c):
+        drift = DelayDriftSpec(
+            a=(a,), b=(0.0,), nu=(nu,), c=(c,), d=(1.0,), e=(0.0,), a_hat=(0.0,), b_hat=(0.0,), nu_hat=(0.0,)
+        )
+        with pytest.raises(ValueError, match=r"^path values must be finite$"):
+            euler_maruyama(ModelSpec(drift, 0.3, 0.6), SimConfig(n_steps=100, y0=2.0), np.random.default_rng(0))
+
 
 @settings(max_examples=40, deadline=None)
 @given(
